@@ -1,6 +1,5 @@
 //! Ablation: alignment-stage throughput vs instance count and batch size
-//! (DESIGN.md §6.5) — the single-threaded stage whose cost bounds Fig. 5's
-//! VM speedup.
+//! — the single-threaded stage whose cost bounds Fig. 5's VM speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use cwcsim::alignment::Alignment;

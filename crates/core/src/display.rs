@@ -1,10 +1,9 @@
 //! Display of results: the pipeline's final stage.
 //!
 //! The paper attaches a Qt GUI that shows partial results during the run;
-//! headless equivalents are provided here (see DESIGN.md §3 for the
-//! substitution rationale): a CSV writer, an ASCII chart renderer and an
-//! in-memory collector used by tests and the report API. All of them
-//! consume the same [`StatRow`] stream the GUI would.
+//! headless equivalents are provided here: a CSV writer, an ASCII chart
+//! renderer and an in-memory collector used by tests and the report API.
+//! All of them consume the same [`StatRow`] stream the GUI would.
 
 use std::fmt::Write as _;
 

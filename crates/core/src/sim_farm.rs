@@ -6,14 +6,25 @@
 //! simulation time (simulation quantum). Then it reschedules back the
 //! operation along the feedback channel."
 //!
-//! [`TaskMaster`] implements the dispatch-with-load-balancing policy —
-//! new and rescheduled tasks go to the least-loaded worker — generically
-//! over the unit of scheduling: scalar [`SimTask`]s ([`SimMaster`]) or
-//! whole [`BatchSimTask`]s ([`BatchSimMaster`], the batched tier, where
-//! workers pull batches of replicas instead of single instances).
-//! [`SimWorker`] / [`BatchSimWorker`] run one quantum per task, forward
-//! the produced [`SampleBatch`]es towards the alignment stage and feed
-//! incomplete tasks back.
+//! [`TaskMaster`] implements the dispatch-with-load-balancing policy
+//! generically over the unit of scheduling: scalar [`SimTask`]s
+//! ([`SimMaster`]) or whole [`BatchSimTask`]s ([`BatchSimMaster`], the
+//! batched tier, where workers pull batches of replicas instead of single
+//! instances). [`SimWorker`] / [`BatchSimWorker`] run one quantum per
+//! task, forward the produced [`SampleBatch`]es towards the alignment
+//! stage and feed incomplete tasks back.
+//!
+//! **Breadth-first dispatch.** New and rescheduled tasks join the back of
+//! the farm master's FIFO ready queue and leave it, oldest first, for the
+//! least-loaded worker with a free slot
+//! ([`fastflow::master_worker`]). Every instance admitted so far gets its
+//! next quantum before any instance gets two, so instances advance in
+//! step and the alignment stage completes cuts as the run goes instead of
+//! buffering one per grid point.
+//!
+//! **Per-instance FIFO.** The farm forwards everything a quantum emitted
+//! before it reschedules the task, so each instance's [`SampleBatch`]es
+//! reach downstream in sample-time order, whichever workers ran them.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,6 +69,8 @@ impl Steering {
 pub struct TaskMaster<T> {
     dispatched: u64,
     steering: Option<Steering>,
+    /// Set once the stop was observed and the ready queue dropped.
+    stopped: bool,
     _task: PhantomData<fn(T)>,
 }
 
@@ -72,6 +85,7 @@ impl<T> std::fmt::Debug for TaskMaster<T> {
         f.debug_struct("TaskMaster")
             .field("dispatched", &self.dispatched)
             .field("steering", &self.steering)
+            .field("stopped", &self.stopped)
             .finish()
     }
 }
@@ -81,6 +95,7 @@ impl<T> Default for TaskMaster<T> {
         TaskMaster {
             dispatched: 0,
             steering: None,
+            stopped: false,
             _task: PhantomData,
         }
     }
@@ -95,9 +110,8 @@ impl<T> TaskMaster<T> {
     /// Creates a master controlled by a [`Steering`] handle.
     pub fn with_steering(steering: Steering) -> Self {
         TaskMaster {
-            dispatched: 0,
             steering: Some(steering),
-            _task: PhantomData,
+            ..TaskMaster::default()
         }
     }
 
@@ -106,11 +120,18 @@ impl<T> TaskMaster<T> {
         self.dispatched
     }
 
-    fn stopped(&self) -> bool {
-        self.steering
-            .as_ref()
-            .map(Steering::is_terminated)
-            .unwrap_or(false)
+    /// True once termination was requested. The first call that sees it
+    /// drops the tasks still waiting for dispatch, so only quanta already
+    /// handed to a worker finish.
+    fn stop_requested(&mut self, sched: &mut Scheduler<'_, T>) -> bool
+    where
+        T: Send,
+    {
+        if !self.stopped && self.steering.as_ref().is_some_and(Steering::is_terminated) {
+            self.stopped = true;
+            sched.drop_queued();
+        }
+        self.stopped
     }
 }
 
@@ -120,7 +141,7 @@ impl<T: Send + 'static> Master for TaskMaster<T> {
     type Fb = T;
 
     fn on_upstream(&mut self, task: T, sched: &mut Scheduler<'_, T>) {
-        if self.stopped() {
+        if self.stop_requested(sched) {
             return; // terminated: drop new simulations
         }
         self.dispatched += 1;
@@ -128,17 +149,13 @@ impl<T: Send + 'static> Master for TaskMaster<T> {
     }
 
     fn on_feedback(&mut self, task: T, sched: &mut Scheduler<'_, T>) {
-        if self.stopped() {
+        if self.stop_requested(sched) {
             return; // terminated: do not reschedule the next quantum
         }
         // Rescheduling after each quantum is the load-balancing strategy:
         // a long-running trajectory never pins its worker, because the
         // next quantum may be dispatched anywhere.
         sched.submit(task);
-    }
-
-    fn on_idle(&mut self, _sched: &mut Scheduler<'_, T>) -> bool {
-        true
     }
 }
 

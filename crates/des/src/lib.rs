@@ -1,8 +1,8 @@
 //! # desim — a discrete-event platform simulator
 //!
-//! The reproduction's stand-in for hardware we do not have (see DESIGN.md
-//! §3): the paper evaluates on a 32-core Nehalem, an Infiniband cluster,
-//! Amazon EC2 and a Tesla K40; this crate provides the event-driven core
+//! The reproduction's stand-in for hardware we do not have: the paper
+//! evaluates on a 32-core Nehalem, an Infiniband cluster, Amazon EC2 and
+//! a Tesla K40; this crate provides the event-driven core
 //! used by `distrt` to model those platforms. Service times are fed from
 //! *measured* per-quantum costs of the real Gillespie engine, so load
 //! imbalance in the models is authentic — only the hardware timing is

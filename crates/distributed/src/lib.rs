@@ -26,8 +26,8 @@
 //! testbeds), [`workload`] (event traces recorded from *real* engine runs
 //! plus measured unit costs), [`multicore`] (DES of the Fig. 3 pipeline),
 //! [`cluster`] (DES of the farm-of-pipelines over a network, Fig. 4) and
-//! [`cloud`] (EC2 deployments, Figs. 5–6). See DESIGN.md §3 for why these
-//! models substitute the paper's hardware and what they preserve.
+//! [`cloud`] (EC2 deployments, Figs. 5–6). These models stand in for the
+//! paper's hardware.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -6,10 +6,16 @@
 //! sound. Bounded channels provide backpressure between pipeline stages;
 //! unbounded channels serve feedback edges where backpressure could deadlock
 //! the cycle.
+//!
+//! Blocking operations are event-driven: a side that finds the queue empty
+//! (or full) registers its thread with the channel before it parks, and the
+//! peer wakes it — a push wakes the consumer, a pop from a bounded queue
+//! wakes a producer blocked on a full queue, and closing either end wakes
+//! both (see [`crate::backoff`]).
 
 use std::sync::Arc;
 
-use crate::backoff::Backoff;
+use crate::backoff::{Backoff, WakerSlot};
 use crate::spsc::{PushError, SpscQueue};
 use crate::unbounded::UnboundedSpsc;
 
@@ -58,14 +64,28 @@ enum Flavor<T> {
 
 struct Shared<T> {
     queue: Flavor<T>,
+    /// The consumer, woken by pushes and close.
+    rx_waker: WakerSlot,
+    /// The producer, woken by pops from a bounded queue and close.
+    tx_waker: WakerSlot,
 }
 
 impl<T> Shared<T> {
+    fn new(queue: Flavor<T>) -> Arc<Self> {
+        Arc::new(Shared {
+            queue,
+            rx_waker: WakerSlot::default(),
+            tx_waker: WakerSlot::default(),
+        })
+    }
+
     fn close(&self) {
         match &self.queue {
             Flavor::Bounded(q) => q.close(),
             Flavor::Unbounded(q) => q.close(),
         }
+        self.rx_waker.wake();
+        self.tx_waker.wake();
     }
 
     fn is_closed(&self) -> bool {
@@ -109,9 +129,7 @@ pub struct Receiver<T> {
 ///
 /// Panics if `capacity` is zero.
 pub fn bounded<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(Shared {
-        queue: Flavor::Bounded(SpscQueue::new(capacity)),
-    });
+    let shared = Shared::new(Flavor::Bounded(SpscQueue::new(capacity)));
     (
         Sender {
             shared: Arc::clone(&shared),
@@ -122,9 +140,7 @@ pub fn bounded<T: Send>(capacity: usize) -> (Sender<T>, Receiver<T>) {
 
 /// Creates an unbounded SPSC channel (sends never block).
 pub fn unbounded<T: Send>() -> (Sender<T>, Receiver<T>) {
-    let shared = Arc::new(Shared {
-        queue: Flavor::Unbounded(UnboundedSpsc::new()),
-    });
+    let shared = Shared::new(Flavor::Unbounded(UnboundedSpsc::new()));
     (
         Sender {
             shared: Arc::clone(&shared),
@@ -140,30 +156,15 @@ impl<T: Send> Sender<T> {
     ///
     /// Returns [`SendError`] with the value if the receiver was dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        match &self.shared.queue {
-            Flavor::Unbounded(q) => {
-                if self.shared.is_closed() {
-                    return Err(SendError(value));
-                }
-                // SAFETY: `Sender` is not Clone, so this is the only producer.
-                unsafe { q.push(value) };
-                Ok(())
-            }
-            Flavor::Bounded(q) => {
-                let mut value = value;
-                let mut backoff = Backoff::new();
-                loop {
-                    if self.shared.is_closed() {
-                        return Err(SendError(value));
-                    }
-                    // SAFETY: single producer by construction.
-                    match unsafe { q.try_push(value) } {
-                        Ok(()) => return Ok(()),
-                        Err(PushError(v)) => {
-                            value = v;
-                            backoff.wait();
-                        }
-                    }
+        let mut value = value;
+        let mut backoff = Backoff::new();
+        loop {
+            match self.try_send(value) {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Disconnected(v)) => return Err(SendError(v)),
+                Err(TrySendError::Full(v)) => {
+                    value = v;
+                    backoff.wait();
                 }
             }
         }
@@ -173,23 +174,26 @@ impl<T: Send> Sender<T> {
     ///
     /// # Errors
     ///
-    /// [`TrySendError::Full`] when a bounded channel has no free slot;
+    /// [`TrySendError::Full`] when a bounded channel has no free slot (the
+    /// calling thread is then registered to be woken by the next pop);
     /// [`TrySendError::Disconnected`] when the receiver was dropped.
     pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         if self.shared.is_closed() {
             return Err(TrySendError::Disconnected(value));
         }
         match &self.shared.queue {
-            Flavor::Unbounded(q) => {
-                // SAFETY: single producer by construction.
-                unsafe { q.push(value) };
-                Ok(())
-            }
+            // SAFETY: single producer by construction.
+            Flavor::Unbounded(q) => unsafe { q.push(value) },
             // SAFETY: single producer by construction.
             Flavor::Bounded(q) => {
-                unsafe { q.try_push(value) }.map_err(|PushError(v)| TrySendError::Full(v))
+                if let Err(PushError(v)) = unsafe { q.try_push(value) } {
+                    self.shared.tx_waker.register();
+                    return Err(TrySendError::Full(v));
+                }
             }
         }
+        self.shared.rx_waker.wake();
+        Ok(())
     }
 
     /// Number of items currently queued (racy snapshot).
@@ -225,26 +229,36 @@ impl<T: Send> Receiver<T> {
     ///
     /// # Errors
     ///
-    /// [`TryRecvError::Empty`] when no item is queued yet;
+    /// [`TryRecvError::Empty`] when no item is queued yet (the calling
+    /// thread is then registered to be woken by the next push);
     /// [`TryRecvError::Disconnected`] at end of stream.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let item = match &self.shared.queue {
-            // SAFETY: `Receiver` is not Clone, so this is the only consumer.
-            Flavor::Bounded(q) => unsafe { q.try_pop() },
-            Flavor::Unbounded(q) => unsafe { q.try_pop() },
-        };
-        match item {
+        match self.pop() {
             Some(v) => Ok(v),
-            None if self.shared.is_closed() => {
-                // Re-check after observing closed: the sender may have pushed
-                // between our pop and its close.
-                let retry = match &self.shared.queue {
-                    Flavor::Bounded(q) => unsafe { q.try_pop() },
-                    Flavor::Unbounded(q) => unsafe { q.try_pop() },
-                };
-                retry.ok_or(TryRecvError::Disconnected)
+            // Re-check after observing closed: the sender may have pushed
+            // between our pop and its close.
+            None if self.shared.is_closed() => self.pop().ok_or(TryRecvError::Disconnected),
+            None => {
+                self.shared.rx_waker.register();
+                Err(TryRecvError::Empty)
             }
-            None => Err(TryRecvError::Empty),
+        }
+    }
+
+    /// Pops one item; a pop from a bounded queue frees a slot, so it wakes a
+    /// producer blocked on the full queue.
+    fn pop(&self) -> Option<T> {
+        match &self.shared.queue {
+            // SAFETY: `Receiver` is not Clone, so this is the only consumer.
+            Flavor::Bounded(q) => {
+                let item = unsafe { q.try_pop() };
+                if item.is_some() {
+                    self.shared.tx_waker.wake();
+                }
+                item
+            }
+            // SAFETY: as above.
+            Flavor::Unbounded(q) => unsafe { q.try_pop() },
         }
     }
 
@@ -451,5 +465,83 @@ mod tests {
         }
         assert_eq!(next, 1000);
         producer.join().unwrap();
+    }
+
+    /// Waits until the receiver of `tx` has announced that it parks, then a
+    /// little longer so it is parked when the next send lands.
+    fn until_receiver_parks<T: Send>(tx: &Sender<T>) {
+        while !crate::backoff::tests::announced(&tx.shared.rx_waker) {
+            std::thread::yield_now();
+        }
+        let t0 = std::time::Instant::now();
+        while t0.elapsed() < std::time::Duration::from_micros(20) {
+            std::thread::yield_now();
+        }
+    }
+
+    fn parks() -> u64 {
+        crate::backoff::tests::PARKS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn ping_pong_is_driven_by_wakeups_not_timeouts() {
+        use crate::backoff::PARK_TIMEOUT;
+        use std::time::Instant;
+        const ROUND_TRIPS: u32 = 20_000;
+        let (ping_tx, ping_rx) = bounded(1);
+        let (pong_tx, pong_rx) = bounded(1);
+        let t0 = Instant::now();
+        let ponger = std::thread::spawn(move || {
+            let before = parks();
+            for i in ping_rx.iter() {
+                until_receiver_parks(&pong_tx);
+                pong_tx.send(i).unwrap();
+            }
+            parks() - before
+        });
+        let before = parks();
+        for i in 0..ROUND_TRIPS {
+            if i > 0 {
+                until_receiver_parks(&ping_tx);
+            }
+            ping_tx.send(i).unwrap();
+            assert_eq!(pong_rx.recv(), Some(i));
+        }
+        let pinger_parks = parks() - before;
+        drop(ping_tx);
+        let ponger_parks = ponger.join().unwrap();
+        let elapsed = t0.elapsed();
+        // Each side waits for the other to reach the park rung before it
+        // sends, so both really parked, round after round.
+        assert!(pinger_parks >= u64::from(ROUND_TRIPS) / 2, "{pinger_parks}");
+        assert!(ponger_parks >= u64::from(ROUND_TRIPS) / 2, "{ponger_parks}");
+        // Had progress waited for park timeouts, each round trip would cost
+        // at least one of them; wakeups take a tiny fraction of that.
+        let budget = PARK_TIMEOUT * ROUND_TRIPS / 200;
+        assert!(elapsed < budget, "{elapsed:?} >= {budget:?}");
+    }
+
+    #[test]
+    fn dropping_the_sender_wakes_a_parked_recv() {
+        use crate::backoff::PARK_TIMEOUT;
+        use std::time::{Duration, Instant};
+        let (tx, rx) = bounded::<u8>(4);
+        let receiver = std::thread::spawn(move || {
+            let before = parks();
+            let got = rx.recv();
+            (got, parks() - before, Instant::now())
+        });
+        until_receiver_parks(&tx);
+        std::thread::sleep(Duration::from_millis(20));
+        let dropped = Instant::now();
+        drop(tx);
+        let (got, parked, returned) = receiver.join().unwrap();
+        assert_eq!(got, None);
+        assert!(parked >= 1, "the receiver never parked");
+        let latency = returned - dropped;
+        assert!(
+            latency < PARK_TIMEOUT / 2,
+            "woken by the timeout: {latency:?}"
+        );
     }
 }

@@ -5,73 +5,81 @@
 //! feedback channel". This module provides exactly that shape:
 //!
 //! ```text
-//!                ┌────────────── feedback (unbounded) ──────────────┐
-//!                ▼                                                  │
-//! upstream ─▶ master ─▶ task channels (bounded) ─▶ workers ─────────┤
-//!                                                   │ forward       │
-//!                                                   ▼               │
-//!                                              collector ─▶ downstream
+//!              ┌──────── notices + feedback (unbounded) ────────┐
+//!              │  ┌─────────────── outputs (bounded) ─────────┐ │
+//!              ▼  ▼                                           │ │
+//! upstream ─▶ master ─▶ tasks (bounded, 1 slot) ─▶ workers ───┴─┘
+//!                │
+//!                └─▶ downstream
 //! ```
 //!
-//! Feedback channels are **unbounded** ([`crate::unbounded`]): a bounded
-//! feedback edge could deadlock the cycle (worker blocked pushing feedback
-//! while the master is blocked pushing a task to that same worker). The
-//! master performs exact in-flight accounting — the run-time notifies it of
-//! every task completion, with or without a feedback payload — which is what
-//! enables the load-rebalancing the paper credits for GPU/CPU portability.
+//! The master is both emitter and collector, and it never blocks on a
+//! worker. [`Scheduler::submit`] appends to a FIFO *ready queue* local to
+//! the master; each loop the master forwards worker outputs, handles
+//! completion notices, admits every upstream item that has arrived, and
+//! hands ready tasks, oldest first, with a non-blocking send to the
+//! least-loaded worker that has a free slot. Because feedback joins the
+//! back of the ready queue, tasks advance breadth-first: every task gets
+//! its next quantum before any task gets two. The only wait the master
+//! takes is downstream backpressure.
+//!
+//! **Per-task FIFO contract.** Before the master handles worker *w*'s
+//! completion notice it forwards everything *w* emitted, and a task's next
+//! step can only be dispatched from that notice's feedback. So everything a
+//! task emits in one step reaches downstream, in emission order, before
+//! anything it emits in a later step — whichever workers ran the steps.
+//!
+//! Feedback channels are **unbounded** ([`crate::unbounded`]) and the master
+//! drains worker outputs on every loop, so no worker can deadlock the cycle
+//! by blocking on a full queue. The master performs exact in-flight
+//! accounting — the run-time notifies it of every task completion, with or
+//! without a feedback payload — which is what enables the load-rebalancing
+//! the paper credits for GPU/CPU portability.
+
+use std::collections::VecDeque;
 
 use crate::backoff::Backoff;
-use crate::channel::{self, Receiver, Sender, TryRecvError};
+use crate::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use crate::node::Outbox;
 use crate::pipeline::{spawn_named, Pipeline};
 
 /// Scheduling interface handed to [`Master`] callbacks.
 #[derive(Debug)]
 pub struct Scheduler<'a, T> {
-    workers: &'a [Sender<T>],
-    inflight: &'a mut [usize],
+    ready: &'a mut VecDeque<T>,
+    inflight: &'a [usize],
     submitted: &'a mut u64,
 }
 
 impl<T: Send> Scheduler<'_, T> {
-    /// Submits `task` to the least-loaded worker (blocking if its queue is
-    /// full).
+    /// Queues `task` for dispatch; never blocks.
+    ///
+    /// Queued tasks leave in submission order, each to the least-loaded
+    /// worker with a free slot.
     pub fn submit(&mut self, task: T) {
-        let w = self
-            .inflight
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| **c)
-            .map(|(i, _)| i)
-            .expect("scheduler has at least one worker");
-        self.submit_to(w, task);
+        *self.submitted += 1;
+        self.ready.push_back(task);
     }
 
-    /// Submits `task` to worker `w` (blocking if its queue is full).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range.
-    pub fn submit_to(&mut self, w: usize, task: T) {
-        self.inflight[w] += 1;
-        *self.submitted += 1;
-        // A send error means the worker died (panic); accounting still
-        // records the task as in flight, and the join will surface the
-        // panic, so ignoring the error here is safe.
-        let _ = self.workers[w].send(task);
+    /// Drops every task still waiting in the ready queue and returns how
+    /// many there were. Tasks already handed to a worker still complete.
+    pub fn drop_queued(&mut self) -> usize {
+        let dropped = self.ready.len();
+        self.ready.clear();
+        dropped
     }
 
     /// Number of workers in the farm.
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.inflight.len()
     }
 
-    /// Tasks currently executing or queued at worker `w`.
+    /// Tasks handed to worker `w` (queued in its slot or executing).
     pub fn inflight_at(&self, w: usize) -> usize {
         self.inflight[w]
     }
 
-    /// Total tasks in flight across all workers.
+    /// Total tasks handed to workers and not yet completed.
     pub fn inflight(&self) -> usize {
         self.inflight.iter().sum()
     }
@@ -98,7 +106,7 @@ pub trait Master: Send + 'static {
     /// simulation task).
     fn on_feedback(&mut self, fb: Self::Fb, sched: &mut Scheduler<'_, Self::Task>);
 
-    /// Called when upstream is exhausted and no task is in flight.
+    /// Called when upstream is exhausted and no task is queued or in flight.
     ///
     /// Return `true` to terminate the farm; return `false` after submitting
     /// more work to keep it running. The default terminates.
@@ -114,7 +122,7 @@ pub trait FeedbackWorker: Send + 'static {
     type Task: Send + 'static;
     /// Feedback payload sent back to the master.
     type Fb: Send + 'static;
-    /// Items forwarded to the collector (and on downstream).
+    /// Items forwarded downstream (through the master).
     type Out: Send + 'static;
 
     /// Called once before the first task.
@@ -129,12 +137,6 @@ pub trait FeedbackWorker: Send + 'static {
     fn on_end(&mut self, out: &mut Outbox<'_, Self::Out>) {
         let _ = out;
     }
-}
-
-/// Completion notice sent by the worker run-time to the master.
-struct Notice<Fb> {
-    worker: usize,
-    payload: Option<Fb>,
 }
 
 impl<T: Send + 'static> Pipeline<T> {
@@ -156,37 +158,24 @@ impl<T: Send + 'static> Pipeline<T> {
         let name = "mwfarm";
 
         // Master -> workers (bounded, 1 slot: on-demand semantics).
-        let mut task_tx = Vec::with_capacity(n);
-        let mut task_rx = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::bounded::<M::Task>(1);
-            task_tx.push(tx);
-            task_rx.push(rx);
-        }
-        // Workers -> master (unbounded feedback).
-        let mut fb_tx = Vec::with_capacity(n);
-        let mut fb_rx = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::unbounded::<Notice<M::Fb>>();
-            fb_tx.push(tx);
-            fb_rx.push(rx);
-        }
-        // Workers -> collector.
-        let mut out_tx = Vec::with_capacity(n);
-        let mut out_rx = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel::bounded::<W::Out>(self.capacity);
-            out_tx.push(tx);
-            out_rx.push(rx);
-        }
-        // Collector -> downstream.
+        let (task_tx, task_rx): (Vec<_>, Vec<_>) =
+            (0..n).map(|_| channel::bounded::<M::Task>(1)).unzip();
+        // Workers -> master: unbounded completion notices, each carrying the
+        // feedback payload if any, and bounded outputs.
+        let (fb_tx, fb_rx): (Vec<_>, Vec<_>) = (0..n)
+            .map(|_| channel::unbounded::<Option<M::Fb>>())
+            .unzip();
+        let (out_tx, out_rx): (Vec<_>, Vec<_>) = (0..n)
+            .map(|_| channel::bounded::<W::Out>(self.capacity))
+            .unzip();
+        // Master -> downstream.
         let (down_tx, down_rx) = channel::bounded(self.capacity);
 
         // Master thread.
         let upstream = self.rx;
         let master_name = format!("{name}.master");
         let handle = spawn_named(master_name.clone(), move || {
-            run_master(master, upstream, task_tx, fb_rx);
+            run_master(master, upstream, task_tx, fb_rx, out_rx, down_tx);
         });
         self.handles.push((master_name, handle));
 
@@ -199,17 +188,10 @@ impl<T: Send + 'static> Pipeline<T> {
         {
             let wname = format!("{name}.worker.{i}");
             let handle = spawn_named(wname.clone(), move || {
-                run_feedback_worker(i, worker, rx, fb, out);
+                run_feedback_worker(worker, rx, fb, out);
             });
             self.handles.push((wname, handle));
         }
-
-        // Collector thread (same merge as the plain farm).
-        let collector_name = format!("{name}.collector");
-        let handle = spawn_named(collector_name.clone(), move || {
-            merge_channels(out_rx, down_tx);
-        });
-        self.handles.push((collector_name, handle));
 
         Pipeline {
             rx: down_rx,
@@ -220,65 +202,90 @@ impl<T: Send + 'static> Pipeline<T> {
     }
 }
 
-fn run_master<M: Master>(
+fn run_master<M: Master, Out: Send>(
     mut master: M,
     upstream: Receiver<M::In>,
-    task_tx: Vec<Sender<M::Task>>,
-    fb_rx: Vec<Receiver<Notice<M::Fb>>>,
+    tasks: Vec<Sender<M::Task>>,
+    notices: Vec<Receiver<Option<M::Fb>>>,
+    outputs: Vec<Receiver<Out>>,
+    downstream: Sender<Out>,
 ) {
-    let n = task_tx.len();
+    let n = tasks.len();
+    let mut ready = VecDeque::new();
     let mut inflight = vec![0usize; n];
     let mut submitted = 0u64;
     let mut upstream_open = true;
+    // Dispatch order scratch; `next` rotates ties between equal loads.
+    let mut order = Vec::with_capacity(n);
+    let mut next = 0usize;
     let mut backoff = Backoff::new();
-    loop {
+    macro_rules! sched {
+        () => {
+            &mut Scheduler {
+                ready: &mut ready,
+                inflight: &inflight,
+                submitted: &mut submitted,
+            }
+        };
+    }
+    'run: while !downstream.is_disconnected() {
         let mut progressed = false;
 
-        // 1. Drain feedback first: keeps workers fed with rescheduled tasks
-        //    before admitting new work (the paper's load-balancing strategy).
-        for rx in &fb_rx {
-            while let Ok(notice) = rx.try_recv() {
-                progressed = true;
-                inflight[notice.worker] = inflight[notice.worker].saturating_sub(1);
-                if let Some(fb) = notice.payload {
-                    let mut sched = Scheduler {
-                        workers: &task_tx,
-                        inflight: &mut inflight,
-                        submitted: &mut submitted,
-                    };
-                    master.on_feedback(fb, &mut sched);
+        // 1. Collect: forward each worker's outputs, then handle its
+        //    completion notices, each after everything emitted before it.
+        for w in 0..n {
+            progressed |= forward(&outputs[w], &downstream);
+            loop {
+                match notices[w].try_recv() {
+                    Ok(payload) => {
+                        progressed = true;
+                        forward(&outputs[w], &downstream);
+                        inflight[w] -= 1;
+                        if let Some(fb) = payload {
+                            master.on_feedback(fb, sched!());
+                        }
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    // The worker died (panicked); joining the farm reports it.
+                    Err(TryRecvError::Disconnected) => break 'run,
                 }
             }
         }
 
-        // 2. Admit new upstream work.
-        if upstream_open {
+        // 2. Admit every upstream item that has arrived.
+        while upstream_open {
             match upstream.try_recv() {
-                Ok(item) => {
-                    progressed = true;
-                    let mut sched = Scheduler {
-                        workers: &task_tx,
-                        inflight: &mut inflight,
-                        submitted: &mut submitted,
-                    };
-                    master.on_upstream(item, &mut sched);
-                }
-                Err(TryRecvError::Empty) => {}
-                Err(TryRecvError::Disconnected) => {
-                    progressed = true;
-                    upstream_open = false;
-                }
+                Ok(item) => master.on_upstream(item, sched!()),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => upstream_open = false,
             }
+            progressed = true;
         }
 
-        // 3. Termination check.
-        if !upstream_open && inflight.iter().all(|&c| c == 0) {
-            let mut sched = Scheduler {
-                workers: &task_tx,
-                inflight: &mut inflight,
-                submitted: &mut submitted,
-            };
-            if master.on_idle(&mut sched) {
+        // 3. Dispatch the ready queue, oldest first, without blocking.
+        'dispatch: while let Some(mut task) = ready.pop_front() {
+            order.clear();
+            order.extend((0..n).map(|k| (next + k) % n));
+            order.sort_by_key(|&w| inflight[w]);
+            for &w in &order {
+                match tasks[w].try_send(task) {
+                    Ok(()) => {
+                        inflight[w] += 1;
+                        next = (w + 1) % n;
+                        progressed = true;
+                        continue 'dispatch;
+                    }
+                    Err(TrySendError::Full(t) | TrySendError::Disconnected(t)) => task = t,
+                }
+            }
+            ready.push_front(task);
+            break;
+        }
+
+        // 4. Terminate once upstream is exhausted and nothing is queued or
+        //    in flight.
+        if !upstream_open && ready.is_empty() && inflight.iter().all(|&c| c == 0) {
+            if master.on_idle(sched!()) {
                 break;
             }
             progressed = true;
@@ -290,27 +297,40 @@ fn run_master<M: Master>(
             backoff.wait();
         }
     }
-    // Dropping task senders broadcasts EOS to the workers.
+    // Dropping the task senders broadcasts EOS to the workers; forward what
+    // they emit on the way out.
+    drop(tasks);
+    for rx in &outputs {
+        for item in rx {
+            if downstream.send(item).is_err() {
+                return;
+            }
+        }
+    }
+}
+
+/// Forwards every item `rx` holds right now; true if there was any.
+fn forward<T: Send>(rx: &Receiver<T>, downstream: &Sender<T>) -> bool {
+    let mut any = false;
+    while let Ok(item) = rx.try_recv() {
+        any = true;
+        // A failed send means downstream is gone; the loop then stops.
+        let _ = downstream.send(item);
+    }
+    any
 }
 
 fn run_feedback_worker<W: FeedbackWorker>(
-    index: usize,
     mut worker: W,
     tasks: Receiver<W::Task>,
-    feedback: Sender<Notice<W::Fb>>,
+    notices: Sender<Option<W::Fb>>,
     out: Sender<W::Out>,
 ) {
     let mut outbox = Outbox::new(&out);
     worker.on_start();
     while let Some(task) = tasks.recv() {
         let payload = worker.on_task(task, &mut outbox);
-        if feedback
-            .send(Notice {
-                worker: index,
-                payload,
-            })
-            .is_err()
-        {
+        if notices.send(payload).is_err() {
             break; // master gone (only possible on panic)
         }
         if outbox.is_disconnected() {
@@ -320,47 +340,12 @@ fn run_feedback_worker<W: FeedbackWorker>(
     worker.on_end(&mut outbox);
 }
 
-/// Merges several channels into one, preserving per-channel order.
-pub(crate) fn merge_channels<T: Send>(inputs: Vec<Receiver<T>>, out: Sender<T>) {
-    let n = inputs.len();
-    let mut done = vec![false; n];
-    let mut remaining = n;
-    let mut backoff = Backoff::new();
-    while remaining > 0 {
-        let mut progressed = false;
-        for (i, rx) in inputs.iter().enumerate() {
-            if done[i] {
-                continue;
-            }
-            loop {
-                match rx.try_recv() {
-                    Ok(item) => {
-                        progressed = true;
-                        if out.send(item).is_err() {
-                            return;
-                        }
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        done[i] = true;
-                        remaining -= 1;
-                        break;
-                    }
-                }
-            }
-        }
-        if progressed {
-            backoff.reset();
-        } else {
-            backoff.wait();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::Pipeline;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     /// A task that needs `remaining` quanta; each quantum forwards one
     /// result item and feeds the task back until done.
@@ -528,5 +513,107 @@ mod tests {
             .collect()
             .unwrap();
         assert_eq!(out.len(), expected);
+    }
+
+    #[test]
+    fn stress_each_tasks_outputs_arrive_in_order() {
+        const TASKS: usize = 200;
+        const QUANTA: u32 = 20;
+        let tasks = (0..TASKS).map(|id| QuantumTask {
+            id,
+            remaining: QUANTA,
+        });
+        let out: Vec<(usize, u32)> = Pipeline::from_source_with_capacity(tasks, 4)
+            .master_worker_farm(QuantumMaster, (0..4).map(|_| QuantumWorker).collect())
+            .collect()
+            .unwrap();
+        assert_eq!(out.len(), TASKS * QUANTA as usize);
+        let mut next = vec![QUANTA; TASKS];
+        for (id, rem) in out {
+            assert_eq!(rem + 1, next[id], "task {id} out of order");
+            next[id] = rem;
+        }
+        assert!(next.iter().all(|&r| r == 0));
+    }
+
+    /// Master that stops at the first feedback: drops the ready queue and
+    /// every later task, as a steered simulation farm does.
+    struct StopMaster {
+        admitted: Arc<AtomicUsize>,
+        dropped: Arc<AtomicUsize>,
+        stopped: bool,
+    }
+
+    impl Master for StopMaster {
+        type In = QuantumTask;
+        type Task = QuantumTask;
+        type Fb = QuantumTask;
+
+        fn on_upstream(&mut self, item: QuantumTask, sched: &mut Scheduler<'_, QuantumTask>) {
+            self.admitted.fetch_add(1, Ordering::SeqCst);
+            if !self.stopped {
+                sched.submit(item);
+            }
+        }
+
+        fn on_feedback(&mut self, _fb: QuantumTask, sched: &mut Scheduler<'_, QuantumTask>) {
+            if !self.stopped {
+                self.stopped = true;
+                self.dropped.store(sched.drop_queued(), Ordering::SeqCst);
+                assert_eq!(sched.drop_queued(), 0);
+            }
+        }
+    }
+
+    /// Worker whose first task waits until the master admitted `all` items.
+    struct GatedWorker {
+        admitted: Arc<AtomicUsize>,
+        all: usize,
+    }
+
+    impl FeedbackWorker for GatedWorker {
+        type Task = QuantumTask;
+        type Fb = QuantumTask;
+        type Out = (usize, u32);
+
+        fn on_task(
+            &mut self,
+            task: QuantumTask,
+            out: &mut Outbox<'_, (usize, u32)>,
+        ) -> Option<QuantumTask> {
+            while self.admitted.load(Ordering::SeqCst) < self.all {
+                std::thread::yield_now();
+            }
+            QuantumWorker.on_task(task, out)
+        }
+    }
+
+    #[test]
+    fn drop_queued_lets_only_inflight_tasks_finish() {
+        const TASKS: usize = 10;
+        let admitted = Arc::new(AtomicUsize::new(0));
+        let dropped = Arc::new(AtomicUsize::new(usize::MAX));
+        let tasks = (0..TASKS).map(|id| QuantumTask { id, remaining: 2 });
+        let master = StopMaster {
+            admitted: Arc::clone(&admitted),
+            dropped: Arc::clone(&dropped),
+            stopped: false,
+        };
+        let worker = GatedWorker {
+            admitted,
+            all: TASKS,
+        };
+        let out: Vec<(usize, u32)> = Pipeline::from_source(tasks)
+            .master_worker_farm(master, vec![worker])
+            .collect()
+            .unwrap();
+        // At the first feedback task 0 has run and task 1 may sit in the
+        // worker's slot: only those quanta finish; every other task was
+        // dropped from the ready queue and never ran.
+        assert!(
+            matches!(out.as_slice(), [(0, 1)] | [(0, 1), (1, 1)]),
+            "{out:?}"
+        );
+        assert_eq!(out.len() + dropped.load(Ordering::SeqCst), TASKS);
     }
 }

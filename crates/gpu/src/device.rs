@@ -4,7 +4,7 @@
 //! cores) via CUDA Unified Memory. We do not have the silicon; what Table I
 //! actually measures is the *execution model* — lockstep warps, divergence,
 //! kernel-grain synchronisation, host–device transfer — so that is what
-//! [`DeviceSpec`] parameterises (see DESIGN.md §3).
+//! [`DeviceSpec`] parameterises.
 
 /// Hardware parameters of a simulated SIMT device.
 #[derive(Debug, Clone, PartialEq)]
