@@ -88,13 +88,6 @@ pub struct SimConfig {
     /// `width` replicas instead of single instances; results are
     /// bit-for-bit the SSA results for every width.
     pub engine: EngineKind,
-    /// Kernel selection for the batched tier's SIMD layer
-    /// ([`gillespie::KernelDispatch`]): `Auto` (the default) uses the
-    /// vectorised kernels whenever the CPU supports them, `Scalar` and
-    /// `Simd` force one side. Every kernel produces bit-for-bit the same
-    /// trajectories, so this knob changes throughput only — it is ignored
-    /// by the scalar engine kinds.
-    pub kernel_dispatch: gillespie::KernelDispatch,
     /// Statistical engines to run on every window.
     pub engines: Vec<StatEngineKind>,
     /// Capacity of inter-stage channels.
@@ -362,7 +355,6 @@ impl SimConfig {
             window_slide: 1,
             base_seed: 1,
             engine: EngineKind::Ssa,
-            kernel_dispatch: gillespie::KernelDispatch::Auto,
             engines: vec![StatEngineKind::MeanVariance],
             channel_capacity: 64,
             shards: 1,
@@ -380,13 +372,6 @@ impl SimConfig {
     /// Selects the stochastic integrator (see [`EngineKind`]).
     pub fn engine(mut self, kind: EngineKind) -> Self {
         self.engine = kind;
-        self
-    }
-
-    /// Selects the batched tier's kernels (see
-    /// [`SimConfig::kernel_dispatch`]); a no-op for scalar engine kinds.
-    pub fn kernel_dispatch(mut self, dispatch: gillespie::KernelDispatch) -> Self {
-        self.kernel_dispatch = dispatch;
         self
     }
 
@@ -809,15 +794,6 @@ mod tests {
             .validate()
             .is_err());
         assert!(SimConfig::new(1, 10.0).shards(0).validate().is_err());
-    }
-
-    #[test]
-    fn kernel_dispatch_knob_defaults_to_auto_and_is_fluent() {
-        use gillespie::KernelDispatch;
-        assert_eq!(SimConfig::new(1, 1.0).kernel_dispatch, KernelDispatch::Auto);
-        let cfg = SimConfig::new(1, 1.0).kernel_dispatch(KernelDispatch::Scalar);
-        assert_eq!(cfg.kernel_dispatch, KernelDispatch::Scalar);
-        cfg.validate().unwrap();
     }
 
     #[test]

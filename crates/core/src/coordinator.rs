@@ -5,14 +5,14 @@
 //! a *farm of pipelines* across machines; this module is the
 //! process-level analogue. A run is split by a
 //! [`ShardPlan`] into contiguous instance
-//! slices; each shard executes the standard farm + alignment pipeline on
-//! its slice ([`run_shard`] — the same code the single-process runner
-//! uses) and streams back *aligned partial cuts* plus one end-of-stream
-//! *partial statistics state*. The coordinator
+//! slices; each shard executes the sim farm + alignment head on its
+//! slice ([`run_shard`]) and streams back *aligned partial cuts* plus one
+//! end-of-stream *partial statistics state*. The coordinator
 //! ([`run_simulation_sharded_with`]) zips the partial-cut streams with
 //! [`CutMerger`](crate::merge::CutMerger), folds the partial statistics with
 //! `streamstat::Mergeable`, and feeds the merged cut stream through the
-//! unchanged window/analysis stages.
+//! window/analysis tail. Head and tail are built once, in
+//! [`runner`](crate::runner), and shared with the single-process run.
 //!
 //! *Where* shards run is the [`ShardTransport`] seam: this crate
 //! provides [`InProcessTransport`] (one thread per shard — also the
@@ -38,6 +38,8 @@
 //! bit-for-bit the single-process cut stream for *any* shard count, and
 //! therefore so are the [`StatRow`]s (the integration matrix in
 //! `tests/sharded_agreement.rs` pins this).
+//!
+//! [`StatRow`]: crate::engines::StatRow
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -45,21 +47,17 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cwc::model::Model;
-use fastflow::node::{flat_stage, map_stage};
 use fastflow::pipeline::Pipeline;
 use gillespie::deps::ModelDeps;
 use gillespie::engine::EngineKind;
 use gillespie::trajectory::Cut;
 
-use crate::alignment::Alignment;
 use crate::config::SimConfig;
-use crate::engines::{StatBlock, StatEngineKind, StatEngineSet, StatRow};
+use crate::engines::StatEngineKind;
 use crate::merge::RunSummary;
 use crate::plan::{ShardPlan, ShardRange};
-use crate::runner::{SimError, SimReport};
-use crate::sim_farm::{BatchSimMaster, BatchSimWorker, SimMaster, SimWorker, Steering};
-use crate::task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
-use crate::windows::WindowGen;
+use crate::runner::{analyse_cuts, sim_head, SimError, SimReport};
+use crate::sim_farm::Steering;
 
 /// Everything a shard worker needs to run its slice of a simulation —
 /// the run parameters plus the shard's [`ShardRange`]. The multi-process
@@ -426,11 +424,12 @@ impl ShardHandle {
     }
 }
 
-/// Runs one shard's slice through the standard farm + alignment
-/// pipeline, invoking `on_msg` with every aligned partial cut (in grid
-/// order) and finally with the end-of-stream report. This is the shard
-/// *body*: the in-process transport calls it on a thread, the
-/// `cwc-shard` worker binary calls it with a frame-writing sink.
+/// Runs one shard's slice through the sim-farm + alignment head the
+/// single-process runner also uses, invoking `on_msg` with every aligned
+/// partial cut (in grid order) and finally with the end-of-stream report.
+/// This is the shard *body*: the in-process transport calls it on a
+/// thread, the `cwc-shard` worker binary calls it with a frame-writing
+/// sink.
 ///
 /// `deps` is `model`'s pre-compiled dependency graph — the caller owns
 /// the (single) compilation, so a worker serving shipped deps and a
@@ -447,82 +446,8 @@ pub fn run_shard(
     steering: &Steering,
     mut on_msg: impl FnMut(ShardMsg),
 ) -> Result<(), SimError> {
-    let events = Arc::new(AtomicU64::new(0));
-    let events_in_stage = Arc::clone(&events);
-
-    // Same tier split as the single-process runner: the farm half depends
-    // on the scheduling unit (whole batches vs single instances), both
-    // arms settle on the same per-instance `SampleBatch` stream, and the
-    // rest of the shard body stays tier-agnostic.
-    let farm: Pipeline<SampleBatch> = match spec.engine {
-        EngineKind::Batched { width } => {
-            // Shard children keep the default `Auto` kernel dispatch and
-            // detect CPU features locally: every kernel is bit-for-bit
-            // identical, so the merged results cannot depend on which
-            // side each child picks.
-            let tasks: Vec<BatchSimTask> =
-                batch_spans(spec.range.first_instance, spec.range.count, width)
-                    .into_iter()
-                    .map(|(first, w)| {
-                        BatchSimTask::with_engine_deps(
-                            Arc::clone(&model),
-                            Arc::clone(&deps),
-                            spec.base_seed,
-                            first,
-                            w,
-                            spec.t_end,
-                            spec.quantum,
-                            spec.sample_period,
-                        )
-                    })
-                    .collect::<Result<_, _>>()?;
-            let workers: Vec<BatchSimWorker> = (0..spec.sim_workers.max(1))
-                .map(|_| BatchSimWorker::new())
-                .collect();
-            Pipeline::from_source_with_capacity(tasks.into_iter(), spec.channel_capacity)
-                .master_worker_farm(BatchSimMaster::with_steering(steering.clone()), workers)
-        }
-        _ => {
-            let tasks: Vec<SimTask> = (spec.range.first_instance..spec.range.end())
-                .map(|i| {
-                    SimTask::with_engine_deps(
-                        spec.engine,
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        spec.base_seed,
-                        i,
-                        spec.t_end,
-                        spec.quantum,
-                        spec.sample_period,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            let workers: Vec<SimWorker> = (0..spec.sim_workers.max(1))
-                .map(|_| SimWorker::new())
-                .collect();
-            Pipeline::from_source_with_capacity(tasks.into_iter(), spec.channel_capacity)
-                .master_worker_farm(SimMaster::with_steering(steering.clone()), workers)
-        }
-    };
-
-    let pipeline = farm
-        .named_stage(
-            "shard-events",
-            map_stage(move |batch: SampleBatch| {
-                events_in_stage.fetch_add(batch.events, Ordering::Relaxed);
-                batch
-            }),
-        )
-        .named_stage(
-            "shard-alignment",
-            Alignment::with_base(
-                spec.range.count,
-                spec.sample_period,
-                spec.range.first_instance,
-            ),
-        );
-
-    let (rx, handle) = pipeline.into_receiver();
+    let (cuts, events) = sim_head(&model, &deps, spec, steering)?;
+    let (rx, handle) = cuts.into_receiver();
     let mut summary = RunSummary::new(spec.engines.clone());
     for cut in rx.iter() {
         summary.push_cut(&cut);
@@ -606,6 +531,7 @@ impl ShardTransport for InProcessTransport {
 /// count (see the module docs for the argument).
 ///
 /// [`run_simulation`]: crate::runner::run_simulation
+/// [`StatRow`]: crate::engines::StatRow
 ///
 /// # Errors
 ///
@@ -633,54 +559,39 @@ pub fn run_simulation_sharded_with<T: ShardTransport>(
     let start = Instant::now();
     let plan = ShardPlan::new(cfg.instances, cfg.shards);
 
-    // The unchanged downstream half of the Fig. 2 network, fed by the
-    // merged cut stream.
-    let (cut_tx, cut_rx) = mpsc::sync_channel::<Cut>(cfg.channel_capacity);
-    let engine_set = StatEngineSet::new(cfg.engines.clone());
-    let pipeline = Pipeline::from_source_with_capacity(cut_rx.into_iter(), cfg.channel_capacity)
-        .named_stage(
-            "window-gen",
-            WindowGen::new(cfg.window_width, cfg.window_slide),
-        )
-        .ordered_farm(cfg.stat_workers, |_| {
-            let set = engine_set.clone();
-            move |w: crate::windows::Window| set.analyse(&w)
-        })
-        .stage(flat_stage(
-            |block: StatBlock, out: &mut fastflow::node::Outbox<'_, StatRow>| {
-                for row in block.rows {
-                    out.push(row);
-                }
-            },
-        ));
-    let (rows_rx, handle) = pipeline.into_receiver();
-    // Rows are drained concurrently so the bounded channels above can
-    // never deadlock behind a full output buffer.
-    let collector = std::thread::spawn(move || rows_rx.iter().collect::<Vec<StatRow>>());
-
+    // The downstream half of the Fig. 2 network, shared with the
+    // single-process runner, fed by the merged cut stream. It drains its
+    // rows on its own thread, so the bounded channels can never deadlock
+    // behind a full output buffer while the supervisor feeds cuts.
+    //
     // The supervision loop owns launch, watchdog, retry/requeue and
     // cut/summary merging; full cuts are emitted here into the
     // downstream pipeline. A send failure means downstream already
     // died — the supervisor keeps draining (so shard drivers never
     // block forever on a sink nobody reads) and the panic surfaces via
-    // the pipeline join below.
-    let supervised = crate::supervisor::ShardSupervisor::new(cfg, &plan).run(
-        Arc::clone(&model),
-        deps,
-        steering,
-        transport,
-        |cut| cut_tx.send(cut).is_ok(),
-    );
-    drop(cut_tx);
-    let rows: Vec<StatRow> = collector
-        .join()
-        .expect("row collector only reads from a channel");
-    let run_stats = handle.join()?;
+    // the tail's join.
+    let (cut_tx, cut_rx) = mpsc::sync_channel::<Cut>(cfg.channel_capacity);
+    let (analysed, supervised) = std::thread::scope(|s| {
+        let tail = s.spawn(move || {
+            let cuts =
+                Pipeline::from_source_with_capacity(cut_rx.into_iter(), cfg.channel_capacity);
+            analyse_cuts(cuts, cfg)
+        });
+        let supervised = crate::supervisor::ShardSupervisor::new(cfg, &plan).run(
+            Arc::clone(&model),
+            deps,
+            steering,
+            transport,
+            |cut| cut_tx.send(cut).is_ok(),
+        );
+        drop(cut_tx);
+        let analysed = tail
+            .join()
+            .expect("the analysis tail returns its panics as errors");
+        (analysed, supervised)
+    });
+    let (rows, run_stats) = analysed?;
     let (events, summary) = supervised.map_err(SimError::Shard)?;
-
-    // Same invariant as the single-process runner: blocks arrive
-    // window-ordered, rows within blocks are time-ordered.
-    debug_assert!(rows.windows(2).all(|w| w[0].time <= w[1].time));
 
     Ok(SimReport {
         rows,

@@ -11,22 +11,35 @@
 //! [`run_sequential`] computes the same rows with no parallelism at all;
 //! the two must agree bit-for-bit for a fixed seed, which is the
 //! correctness contract the integration tests enforce.
+//!
+//! The network is assembled in one place. `sim_head` builds generation,
+//! the feedback sim farm (scalar or batched tier) and alignment over an
+//! instance slice; `analyse_cuts` builds windows, the ordered stat farm
+//! and the row drain. The single-process run joins the two over the
+//! whole instance range. The sharded farm
+//! ([`coordinator`](crate::coordinator)) runs the head once per shard and
+//! the tail once, over the merged cut stream.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cwc::model::Model;
 use fastflow::metrics::RunStats;
-use fastflow::node::flat_stage;
+use fastflow::node::{flat_stage, map_stage, Outbox};
 use fastflow::pipeline::Pipeline;
+use gillespie::deps::ModelDeps;
+use gillespie::engine::EngineKind;
 use gillespie::trajectory::Cut;
 
 use crate::alignment::Alignment;
 use crate::config::{ConfigError, SimConfig};
+use crate::coordinator::ShardSpec;
 use crate::display::CsvRenderer;
 use crate::engines::{StatBlock, StatEngineSet, StatRow};
-use crate::sim_farm::{BatchSimMaster, BatchSimWorker, SimMaster, SimWorker};
+use crate::merge::RunSummary;
+use crate::plan::ShardRange;
+use crate::sim_farm::{BatchSimMaster, BatchSimWorker, SimMaster, SimWorker, Steering};
 use crate::task::{batch_spans, BatchSimTask, SampleBatch, SimTask};
 use crate::windows::{Window, WindowGen};
 
@@ -46,9 +59,7 @@ pub struct SimReport {
     /// Whole-run streaming statistics over every sample (mergeable: the
     /// sharded runner folds per-shard partials into this instead of
     /// shipping raw trajectories — see [`RunSummary`]).
-    ///
-    /// [`RunSummary`]: crate::merge::RunSummary
-    pub summary: crate::merge::RunSummary,
+    pub summary: RunSummary,
 }
 
 impl SimReport {
@@ -142,7 +153,7 @@ impl From<crate::coordinator::ShardError> for SimError {
 ///
 /// Returns [`SimError`] on invalid configuration/model or a node panic.
 pub fn run_simulation(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, SimError> {
-    run_simulation_steered(model, cfg, &crate::sim_farm::Steering::new())
+    run_simulation_steered(model, cfg, &Steering::new())
 }
 
 /// Like [`run_simulation`], controlled by a [`Steering`] handle: calling
@@ -150,130 +161,47 @@ pub fn run_simulation(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, S
 /// quantum boundaries; the pipeline drains and the report covers whatever
 /// completed (the paper's GUI "steer and terminate running simulations").
 ///
-/// [`Steering`]: crate::sim_farm::Steering
-/// [`Steering::terminate`]: crate::sim_farm::Steering::terminate
-///
 /// # Errors
 ///
 /// Returns [`SimError`] on invalid configuration/model or a node panic.
 pub fn run_simulation_steered(
     model: Arc<Model>,
     cfg: &SimConfig,
-    steering: &crate::sim_farm::Steering,
+    steering: &Steering,
 ) -> Result<SimReport, SimError> {
     cfg.validate()?;
     model.validate()?;
     let start = Instant::now();
-    let events = Arc::new(AtomicU64::new(0));
 
-    // Stage 1 + 2: generation of simulation tasks with the configured
-    // engine, feeding the farm of simulation engines with feedback. The
-    // model is "compiled" (dependency graph + read/write sets) once here
-    // and shared by every instance's incremental reaction table. Both
-    // farm tiers produce the same `SampleBatch` stream — per instance,
-    // bit-for-bit — so everything downstream is tier-agnostic.
-    let deps = Arc::new(gillespie::deps::ModelDeps::compile(&model));
-    let farm: Pipeline<SampleBatch> = match cfg.engine {
-        gillespie::engine::EngineKind::Batched { width } => {
-            // Batched tier: workers pull whole batches of `width` replicas
-            // (the last batch may be narrower) instead of single instances.
-            let tasks: Vec<BatchSimTask> = batch_spans(0, cfg.instances, width)
-                .into_iter()
-                .map(|(first, w)| {
-                    BatchSimTask::with_engine_deps(
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        cfg.base_seed,
-                        first,
-                        w,
-                        cfg.t_end,
-                        cfg.quantum,
-                        cfg.sample_period,
-                    )
-                    .map(|task| task.with_kernel_dispatch(cfg.kernel_dispatch))
-                })
-                .collect::<Result<_, _>>()?;
-            let workers: Vec<BatchSimWorker> = (0..cfg.sim_workers)
-                .map(|_| BatchSimWorker::new())
-                .collect();
-            Pipeline::from_source_with_capacity(tasks.into_iter(), cfg.channel_capacity)
-                .master_worker_farm(BatchSimMaster::with_steering(steering.clone()), workers)
-        }
-        _ => {
-            let tasks: Vec<SimTask> = (0..cfg.instances)
-                .map(|i| {
-                    SimTask::with_engine_deps(
-                        cfg.engine,
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        cfg.base_seed,
-                        i,
-                        cfg.t_end,
-                        cfg.quantum,
-                        cfg.sample_period,
-                    )
-                })
-                .collect::<Result<_, _>>()?;
-            let workers: Vec<SimWorker> = (0..cfg.sim_workers).map(|_| SimWorker::new()).collect();
-            Pipeline::from_source_with_capacity(tasks.into_iter(), cfg.channel_capacity)
-                .master_worker_farm(SimMaster::with_steering(steering.clone()), workers)
-        }
+    // The model is "compiled" (dependency graph + read/write sets) once
+    // here and shared by every instance's incremental reaction table.
+    // The single-process run is the whole instance range as one slice,
+    // driven by the run's full worker budget.
+    let deps = Arc::new(ModelDeps::compile(&model));
+    let whole = ShardRange {
+        shard: 0,
+        first_instance: 0,
+        count: cfg.instances,
     };
+    let spec = ShardSpec {
+        sim_workers: cfg.sim_workers,
+        ..ShardSpec::from_config(cfg, whole)
+    };
+    let (cuts, events) = sim_head(&model, &deps, &spec, steering)?;
 
-    // Stage 3: alignment of trajectories; then the analysis pipeline.
-    let engine_set = StatEngineSet::new(cfg.engines.clone());
-    let events_in_stage = Arc::clone(&events);
-    let summary = Arc::new(std::sync::Mutex::new(crate::merge::RunSummary::new(
-        cfg.engines.clone(),
-    )));
+    let summary = Arc::new(Mutex::new(RunSummary::new(cfg.engines.clone())));
     let summary_in_stage = Arc::clone(&summary);
-
-    let pipeline = farm
-        .named_stage(
-            "events-counter",
-            fastflow::node::map_stage(move |batch: SampleBatch| {
-                events_in_stage.fetch_add(batch.events, Ordering::Relaxed);
-                batch
-            }),
-        )
-        .named_stage(
-            "alignment",
-            Alignment::new(cfg.instances, cfg.sample_period),
-        )
-        .named_stage(
-            "run-summary",
-            fastflow::node::map_stage(move |cut: Cut| {
-                summary_in_stage
-                    .lock()
-                    .expect("summary mutex poisoned")
-                    .push_cut(&cut);
-                cut
-            }),
-        )
-        .named_stage(
-            "window-gen",
-            WindowGen::new(cfg.window_width, cfg.window_slide),
-        )
-        .ordered_farm(cfg.stat_workers, |_| {
-            let set = engine_set.clone();
-            move |w: Window| set.analyse(&w)
-        })
-        .stage(flat_stage(
-            |block: StatBlock, out: &mut fastflow::node::Outbox<'_, StatRow>| {
-                for row in block.rows {
-                    out.push(row);
-                }
-            },
-        ));
-
-    let (rx, handle) = pipeline.into_receiver();
-    let rows: Vec<StatRow> = rx.iter().collect();
-    let run_stats = handle.join()?;
-    // Blocks arrive window-ordered (the ordered farm's collector restores
-    // stream order) and rows within blocks are time-ordered, so the
-    // concatenation is already sorted — no repair sort. Pin the invariant
-    // cheaply in debug runs.
-    debug_assert!(rows.windows(2).all(|w| w[0].time <= w[1].time));
+    let cuts = cuts.named_stage(
+        "run-summary",
+        map_stage(move |cut: Cut| {
+            summary_in_stage
+                .lock()
+                .expect("summary mutex poisoned")
+                .push_cut(&cut);
+            cut
+        }),
+    );
+    let (rows, run_stats) = analyse_cuts(cuts, cfg)?;
 
     Ok(SimReport {
         rows,
@@ -292,13 +220,133 @@ pub fn run_simulation_steered(
     })
 }
 
+/// Stages 1–3 of Fig. 2 over `spec`'s instance slice: generation of
+/// simulation tasks, the farm of simulation engines with feedback, an
+/// events counter and the alignment of trajectories into cuts. Returns
+/// the cut stream and the counter of reactions fired.
+///
+/// This is the only assembly of the sim farm: the single-process runner
+/// calls it over the whole run, every shard over its slice. Both farm
+/// tiers produce the same per-instance [`SampleBatch`] stream, bit for
+/// bit, so everything from the events counter on is tier-agnostic.
+pub(crate) fn sim_head(
+    model: &Arc<Model>,
+    deps: &Arc<ModelDeps>,
+    spec: &ShardSpec,
+    steering: &Steering,
+) -> Result<(Pipeline<Cut>, Arc<AtomicU64>), SimError> {
+    let range = spec.range;
+    let farm: Pipeline<SampleBatch> = match spec.engine {
+        EngineKind::Batched { width } => {
+            // Batched tier: workers pull whole batches of `width` replicas
+            // (the last batch may be narrower) instead of single instances.
+            let tasks: Vec<BatchSimTask> = batch_spans(range.first_instance, range.count, width)
+                .into_iter()
+                .map(|(first, w)| {
+                    BatchSimTask::with_engine_deps(
+                        Arc::clone(model),
+                        Arc::clone(deps),
+                        spec.base_seed,
+                        first,
+                        w,
+                        spec.t_end,
+                        spec.quantum,
+                        spec.sample_period,
+                    )
+                })
+                .collect::<Result<_, _>>()?;
+            let workers: Vec<BatchSimWorker> = (0..spec.sim_workers.max(1))
+                .map(|_| BatchSimWorker::new())
+                .collect();
+            Pipeline::from_source_with_capacity(tasks.into_iter(), spec.channel_capacity)
+                .master_worker_farm(BatchSimMaster::with_steering(steering.clone()), workers)
+        }
+        _ => {
+            let tasks: Vec<SimTask> = (range.first_instance..range.end())
+                .map(|i| {
+                    SimTask::with_engine_deps(
+                        spec.engine,
+                        Arc::clone(model),
+                        Arc::clone(deps),
+                        spec.base_seed,
+                        i,
+                        spec.t_end,
+                        spec.quantum,
+                        spec.sample_period,
+                    )
+                })
+                .collect::<Result<_, _>>()?;
+            let workers: Vec<SimWorker> = (0..spec.sim_workers.max(1))
+                .map(|_| SimWorker::new())
+                .collect();
+            Pipeline::from_source_with_capacity(tasks.into_iter(), spec.channel_capacity)
+                .master_worker_farm(SimMaster::with_steering(steering.clone()), workers)
+        }
+    };
+
+    let events = Arc::new(AtomicU64::new(0));
+    let events_in_stage = Arc::clone(&events);
+    let cuts = farm
+        .named_stage(
+            "events-counter",
+            map_stage(move |batch: SampleBatch| {
+                events_in_stage.fetch_add(batch.events, Ordering::Relaxed);
+                batch
+            }),
+        )
+        .named_stage(
+            "alignment",
+            Alignment::with_base(range.count, spec.sample_period, range.first_instance),
+        );
+    Ok((cuts, events))
+}
+
+/// Stages 4–5 of Fig. 2 appended to a cut stream: sliding windows, the
+/// ordered farm of statistical engines and the flattening of stat blocks
+/// into rows. Drains the rows, joins the whole network and returns the
+/// rows with its run statistics.
+///
+/// This is the only assembly of the analysis tail, shared by the
+/// single-process and the sharded runner.
+pub(crate) fn analyse_cuts(
+    cuts: Pipeline<Cut>,
+    cfg: &SimConfig,
+) -> Result<(Vec<StatRow>, RunStats), SimError> {
+    let engine_set = StatEngineSet::new(cfg.engines.clone());
+    let (rx, handle) = cuts
+        .named_stage(
+            "window-gen",
+            WindowGen::new(cfg.window_width, cfg.window_slide),
+        )
+        .ordered_farm(cfg.stat_workers, |_| {
+            let set = engine_set.clone();
+            move |w: Window| set.analyse(&w)
+        })
+        .stage(flat_stage(
+            |block: StatBlock, out: &mut Outbox<'_, StatRow>| {
+                for row in block.rows {
+                    out.push(row);
+                }
+            },
+        ))
+        .into_receiver();
+    let rows: Vec<StatRow> = rx.iter().collect();
+    let run_stats = handle.join()?;
+    // Blocks arrive window-ordered (the ordered farm's collector restores
+    // stream order) and rows within blocks are time-ordered, so the
+    // concatenation is already sorted — no repair sort. Pin the invariant
+    // cheaply in debug runs.
+    debug_assert!(rows.windows(2).all(|w| w[0].time <= w[1].time));
+    Ok((rows, run_stats))
+}
+
 /// Sequential reference implementation: same rows, no parallelism.
 ///
 /// Always runs per-instance scalar engines, even for
-/// [`EngineKind::Batched`](gillespie::engine::EngineKind::Batched) —
-/// a batch replica is *defined* as the scalar SSA trajectory of its
-/// instance, so the scalar run is the batched tier's reference, and the
-/// seq-vs-par agreement tests check the SoA engine against it.
+/// [`EngineKind::Batched`] — a batch replica is *defined* as the scalar
+/// SSA trajectory of its instance, so the scalar run is the batched
+/// tier's reference, and the seq-vs-par agreement tests check the SoA
+/// engine against it.
 ///
 /// # Errors
 ///
@@ -310,7 +358,7 @@ pub fn run_sequential(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, S
 
     // Run every instance to completion, collecting samples. Same
     // compile-once sharing as the parallel path.
-    let deps = Arc::new(gillespie::deps::ModelDeps::compile(&model));
+    let deps = Arc::new(ModelDeps::compile(&model));
     let mut events = 0u64;
     let mut batches: Vec<SampleBatch> = Vec::new();
     for i in 0..cfg.instances {
@@ -342,7 +390,7 @@ pub fn run_sequential(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, S
     {
         use fastflow::node::Stage;
         let (tx, rx) = fastflow::channel::unbounded();
-        let mut out = fastflow::node::Outbox::new(&tx);
+        let mut out = Outbox::new(&tx);
         for b in batches {
             alignment.on_item(b, &mut out);
         }
@@ -351,7 +399,7 @@ pub fn run_sequential(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, S
     }
 
     // Whole-run streaming summary, fed cut by cut like the parallel path.
-    let mut summary = crate::merge::RunSummary::new(cfg.engines.clone());
+    let mut summary = RunSummary::new(cfg.engines.clone());
     for cut in &cuts {
         summary.push_cut(cut);
     }
@@ -363,7 +411,7 @@ pub fn run_sequential(model: Arc<Model>, cfg: &SimConfig) -> Result<SimReport, S
         use fastflow::node::Stage;
         let mut gen = WindowGen::new(cfg.window_width, cfg.window_slide);
         let (tx, rx) = fastflow::channel::unbounded();
-        let mut out = fastflow::node::Outbox::new(&tx);
+        let mut out = Outbox::new(&tx);
         for cut in cuts {
             gen.on_item(cut, &mut out);
         }
@@ -457,23 +505,32 @@ mod tests {
     }
 
     #[test]
-    fn kernel_dispatch_knob_never_changes_the_report() {
-        use gillespie::engine::EngineKind;
-        use gillespie::KernelDispatch;
-        let model = Arc::new(birth_death(25.0, 1.0, 5));
-        let auto = run_simulation(
-            Arc::clone(&model),
-            &small_cfg().engine(EngineKind::Batched { width: 4 }),
-        )
-        .unwrap();
-        for dispatch in [KernelDispatch::Scalar, KernelDispatch::Simd] {
-            let cfg = small_cfg()
-                .engine(EngineKind::Batched { width: 4 })
-                .kernel_dispatch(dispatch);
-            let run = run_simulation(Arc::clone(&model), &cfg).unwrap();
-            assert_eq!(run.rows, auto.rows, "{dispatch}");
-            assert_eq!(run.events, auto.events, "{dispatch}");
-        }
+    fn the_network_reports_its_stage_nodes() {
+        // Pins the node names `run_simulation` reports for a scalar-kind
+        // run: the traced benchmark network copies this set. Farm-internal
+        // nodes (`mwfarm.*`, `ofarm.*`) run as named threads but record no
+        // node statistics; the unnamed flatten stage is numbered by its
+        // position in the network.
+        let model = Arc::new(decay(40, 1.0));
+        let report = run_simulation(model, &small_cfg()).unwrap();
+        let mut names: Vec<&str> = report
+            .run_stats
+            .nodes()
+            .iter()
+            .map(|n| n.name.as_str())
+            .collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            [
+                "alignment",
+                "events-counter",
+                "pipeline.source",
+                "pipeline.stage.12",
+                "run-summary",
+                "window-gen",
+            ]
+        );
     }
 
     #[test]

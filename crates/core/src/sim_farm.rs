@@ -161,15 +161,12 @@ impl<T: Send + 'static> Master for TaskMaster<T> {
 
 /// Worker node of the simulation farm: runs one quantum per task.
 #[derive(Debug, Default)]
-pub struct SimWorker {
-    quanta: u64,
-    events: u64,
-}
+pub struct SimWorker;
 
 impl SimWorker {
     /// Creates a worker.
     pub fn new() -> Self {
-        SimWorker::default()
+        SimWorker
     }
 }
 
@@ -181,8 +178,6 @@ impl FeedbackWorker for SimWorker {
     fn on_task(&mut self, mut task: SimTask, out: &mut Outbox<'_, SampleBatch>) -> Option<SimTask> {
         let mut samples = Vec::new();
         let events = task.run_quantum(&mut samples);
-        self.quanta += 1;
-        self.events += events;
         let finished = task.is_done();
         if !samples.is_empty() || finished {
             out.push(SampleBatch {
@@ -208,15 +203,12 @@ impl FeedbackWorker for SimWorker {
 /// the trajectory — so the event totals and sample streams reaching the
 /// downstream stages are bit-for-bit what the scalar farm produces.
 #[derive(Debug, Default)]
-pub struct BatchSimWorker {
-    quanta: u64,
-    events: u64,
-}
+pub struct BatchSimWorker;
 
 impl BatchSimWorker {
     /// Creates a worker.
     pub fn new() -> Self {
-        BatchSimWorker::default()
+        BatchSimWorker
     }
 }
 
@@ -231,10 +223,8 @@ impl FeedbackWorker for BatchSimWorker {
         out: &mut Outbox<'_, SampleBatch>,
     ) -> Option<BatchSimTask> {
         let batches = task.run_quantum();
-        self.quanta += 1;
         let finished = task.is_done();
         for b in batches {
-            self.events += b.events;
             if !b.samples.is_empty() || finished {
                 out.push(b);
             }

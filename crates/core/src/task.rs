@@ -8,7 +8,7 @@
 //! A task is *engine-agnostic*: it wraps whichever [`Engine`] the run's
 //! [`EngineKind`] built — exact direct method, first-reaction, fixed or
 //! adaptive tau-leaping, or the hybrid SSA/tau engine — behind the same
-//! advance-one-quantum contract, so the farm, the distributed emulation
+//! advance-one-quantum contract, so the farm, the shard processes
 //! and the GPGPU map schedule every integrator identically.
 
 use std::sync::Arc;
@@ -220,15 +220,6 @@ impl BatchSimTask {
             t_end,
             quantum,
         })
-    }
-
-    /// Selects the engine's kernels (scalar / SIMD / auto-detected; see
-    /// [`gillespie::KernelDispatch`]). Purely a throughput knob — every
-    /// kernel produces bit-for-bit the same trajectories.
-    #[must_use]
-    pub fn with_kernel_dispatch(mut self, dispatch: gillespie::KernelDispatch) -> Self {
-        self.engine = self.engine.with_kernel_dispatch(dispatch);
-        self
     }
 
     /// Instance id of the batch's first replica.

@@ -4,15 +4,14 @@
 //! (Aldinucci et al., ICDCS 2014, §IV-B and §V):
 //!
 //! **Functional** — [`wire`] (the explicit serialisation the distributed
-//! pipeline adds around unchanged stages), [`emulation`] (a real
-//! in-process deployment: remote farms receive task *parameters*, stream
-//! encoded sample batches back, the analysis node decodes and runs the
-//! standard alignment→windows→statistics pipeline; results are asserted
-//! identical to local execution) and [`shard`] (the *multi-process*
-//! deployment: one `cwc-shard` child OS process per shard, streaming
-//! aligned partial cuts plus mergeable partial statistics back over
-//! stdio as length-prefixed wire-v7 frames — bit-for-bit identical
-//! analysis rows to the single-process runner). [`net`] lifts the same
+//! pipeline adds around unchanged stages) and [`shard`] (the
+//! *multi-process* deployment: one `cwc-shard` child OS process per
+//! shard, streaming aligned partial cuts plus mergeable partial
+//! statistics back over stdio as length-prefixed wire-v7 frames —
+//! bit-for-bit identical analysis rows to the single-process runner).
+//! Every shard runs the same sim-farm head, and the coordinator the same
+//! analysis tail, as the single-process runner: this crate moves cuts
+//! between processes and assembles no pipeline of its own. [`net`] lifts the same
 //! protocol onto TCP: `cwc-workerd` daemons on real hosts serve shard
 //! attempts behind a registration handshake, and the coordinator's
 //! [`net::TcpShardTransport`] places (and, after a worker death,
@@ -34,7 +33,6 @@
 
 pub mod cloud;
 pub mod cluster;
-pub mod emulation;
 pub mod fault;
 pub mod multicore;
 pub mod net;
@@ -45,7 +43,6 @@ pub mod workload;
 
 pub use cloud::{heterogeneous, heterogeneous_deployment, single_vm, virtual_cluster};
 pub use cluster::{simulate_cluster, ClusterOutcome, ClusterParams};
-pub use emulation::{run_distributed_emulation, EmulatedRun, EmulationError};
 pub use fault::{FaultKind, FaultPlan, FAULT_ENV};
 pub use multicore::{simulate_multicore, MulticoreParams, PipelineOutcome};
 pub use net::{TcpShardTransport, WorkerDaemon, WorkerHello};
@@ -53,5 +50,5 @@ pub use platform::{HostProfile, NetworkProfile};
 pub use shard::{
     run_simulation_sharded, run_simulation_sharded_steered, serve_shard, ProcessTransport,
 };
-pub use wire::{from_bytes, to_bytes, RemoteTaskSpec, Wire, WireError, WireReader};
+pub use wire::{from_bytes, to_bytes, Wire, WireError, WireReader};
 pub use workload::{CostModel, WorkloadTrace};

@@ -29,8 +29,10 @@ use streamstat::welford::Running;
 /// Magic bytes of an encoded message envelope.
 pub const MAGIC: [u8; 4] = *b"CWCS";
 /// Current wire format version. Version 2 added the engine-kind field to
-/// [`RemoteTaskSpec`] (engine-agnostic remote farms); version 3 added the
-/// adaptive-tau and hybrid engine kinds (tags 3 and 4); version 4 added
+/// the remote task spec of the in-process cluster emulation (both since
+/// removed; the spec never rode in a shard frame, so removing it changed
+/// no frame layout); version 3 added the adaptive-tau and hybrid engine
+/// kinds (tags 3 and 4); version 4 added
 /// the sharded-farm messages — full CWC models (so `cwc-shard` child
 /// processes receive arbitrary models, not a registry name), aligned
 /// partial [`Cut`]s, and the mergeable partial-statistics state
@@ -279,52 +281,6 @@ impl Wire for EngineKind {
             }),
             t => Err(WireError::BadTag(t)),
         }
-    }
-}
-
-/// Parameters shipped to a remote simulation farm: which instances to run
-/// and how (the distributed version sends *parameters*, not engine state —
-/// remote farms construct their own engines from the shared model and the
-/// spec's engine kind).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RemoteTaskSpec {
-    /// First instance id (inclusive).
-    pub first_instance: u64,
-    /// Number of consecutive instances.
-    pub count: u64,
-    /// Base RNG seed.
-    pub base_seed: u64,
-    /// Time horizon.
-    pub t_end: f64,
-    /// Simulation quantum.
-    pub quantum: f64,
-    /// Sampling period τ.
-    pub sample_period: f64,
-    /// Stochastic integrator the remote farm must build.
-    pub engine: EngineKind,
-}
-
-impl Wire for RemoteTaskSpec {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.first_instance.encode(buf);
-        self.count.encode(buf);
-        self.base_seed.encode(buf);
-        self.t_end.encode(buf);
-        self.quantum.encode(buf);
-        self.sample_period.encode(buf);
-        self.engine.encode(buf);
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RemoteTaskSpec {
-            first_instance: u64::decode(r)?,
-            count: u64::decode(r)?,
-            base_seed: u64::decode(r)?,
-            t_end: f64::decode(r)?,
-            quantum: f64::decode(r)?,
-            sample_period: f64::decode(r)?,
-            engine: EngineKind::decode(r)?,
-        })
     }
 }
 
@@ -1086,31 +1042,6 @@ mod tests {
             events: 99,
             finished: true,
         });
-    }
-
-    #[test]
-    fn remote_task_spec_roundtrips() {
-        for engine in [
-            EngineKind::Ssa,
-            EngineKind::TauLeap { tau: 0.125 },
-            EngineKind::FirstReaction,
-            EngineKind::AdaptiveTau { epsilon: 0.03 },
-            EngineKind::Hybrid {
-                epsilon: 0.05,
-                threshold: 16.0,
-            },
-            EngineKind::Batched { width: 64 },
-        ] {
-            roundtrip(RemoteTaskSpec {
-                first_instance: 128,
-                count: 64,
-                base_seed: 7,
-                t_end: 100.0,
-                quantum: 5.0,
-                sample_period: 0.5,
-                engine,
-            });
-        }
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The distributed simulator, both halves:
 //!
-//! 1. *functional*: run the real farm-of-pipelines deployment in-process,
-//!    with every sample batch wire-encoded and decoded, and check the
-//!    results equal local execution;
+//! 1. *functional*: run the farm-of-pipelines deployment as 3 real
+//!    `cwc-shard` child processes, each streaming wire-encoded partial
+//!    cuts back, and check the rows equal local execution;
 //! 2. *performance*: predict the same deployment's timing on the paper's
 //!    Infiniband cluster with the calibrated DES model.
+//!
+//! Build the worker first: `cargo build --release --bin cwc-shard`.
 //!
 //! Run: `cargo run --release --example cluster_simulation`
 
@@ -13,8 +15,8 @@ use std::sync::Arc;
 use cwc_repro::biomodels::simple::birth_death;
 use cwc_repro::cwcsim::{run_simulation, SimConfig};
 use cwc_repro::distrt::cluster::{simulate_cluster, ClusterParams};
-use cwc_repro::distrt::emulation::run_distributed_emulation;
 use cwc_repro::distrt::platform::{HostProfile, NetworkProfile};
+use cwc_repro::distrt::shard::run_simulation_sharded;
 use cwc_repro::distrt::workload::{CostModel, WorkloadTrace};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -25,17 +27,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .sim_workers(2)
         .seed(99);
 
-    // --- functional emulation -------------------------------------------
+    // --- functional: real shard processes -------------------------------
     let local = run_simulation(Arc::clone(&model), &cfg)?;
-    let distributed = run_distributed_emulation(Arc::clone(&model), &cfg, 3)?;
+    let distributed = run_simulation_sharded(Arc::clone(&model), &cfg.clone().shards(3))?;
     assert_eq!(
         local.rows, distributed.rows,
         "distribution changed results!"
     );
-    println!("functional: 3 emulated farms produced identical results to local execution");
+    println!("functional: 3 shard processes produced identical results to local execution");
     println!(
-        "            {} messages, {} bytes through the wire codec",
-        distributed.messages, distributed.bytes_transferred
+        "            {} rows, {} reactions",
+        distributed.rows.len(),
+        distributed.events
     );
 
     // --- performance model ----------------------------------------------
