@@ -7,23 +7,16 @@
 //! at it when optimising the incremental draw; it prints the firing
 //! count so the loop cannot be optimised away.
 //!
-//! `CWC_PROFILE_REFRESH=full|incidence` forces the propensity refresh
-//! strategy (default: the engine's rule-count heuristic) — a stopwatch
-//! over both at varying species counts is how the
-//! `FULL_RECOMPUTE_MAX_RULES` crossover is derived.
+//! It also prints the resolved kernel set and firings per wall-second, so
+//! comparing the AVX2 row kernels with the scalar reference is the same
+//! command run twice, once with `CWC_FORCE_SCALAR_KERNELS=1`.
 use std::sync::Arc;
+use std::time::Instant;
 
 use biomodels::simple::conversion_cycle;
 use gillespie::adaptive::AdaptiveTauEngine;
 use gillespie::deps::ModelDeps;
-
-fn apply_refresh(engine: AdaptiveTauEngine) -> AdaptiveTauEngine {
-    match std::env::var("CWC_PROFILE_REFRESH").as_deref() {
-        Ok("full") => engine.with_full_recompute(),
-        Ok("incidence") => engine.with_incidence_cache(),
-        _ => engine,
-    }
-}
+use gillespie::KernelDispatch;
 
 fn main() {
     let species: usize = std::env::args()
@@ -44,22 +37,21 @@ fn main() {
     let horizon: Option<f64> = std::env::args().nth(4).and_then(|s| s.parse().ok());
     let model = Arc::new(conversion_cycle(species, copies, 1.0));
     let (mut firings, mut leaps, mut exact) = (0u64, 0u64, 0u64);
+    let start = Instant::now();
     match horizon {
         Some(t_end) => {
             // One deps compilation shared across instances, like the bench.
             let deps = Arc::new(ModelDeps::compile(&model));
             let mut instance = 0u64;
             while firings < target {
-                let mut engine = apply_refresh(
-                    AdaptiveTauEngine::with_deps(
-                        Arc::clone(&model),
-                        Arc::clone(&deps),
-                        1,
-                        instance,
-                    )
-                    .expect("flat")
-                    .with_epsilon(0.05),
-                );
+                let mut engine = AdaptiveTauEngine::with_deps(
+                    Arc::clone(&model),
+                    Arc::clone(&deps),
+                    1,
+                    instance,
+                )
+                .expect("flat")
+                .with_epsilon(0.05);
                 firings += engine.run_until(t_end);
                 leaps += engine.leaps();
                 exact += engine.exact_steps();
@@ -67,11 +59,9 @@ fn main() {
             }
         }
         None => {
-            let mut engine = apply_refresh(
-                AdaptiveTauEngine::new(model, 1, 0)
-                    .expect("flat")
-                    .with_epsilon(0.05),
-            );
+            let mut engine = AdaptiveTauEngine::new(model, 1, 0)
+                .expect("flat")
+                .with_epsilon(0.05);
             let mut t = 0.0;
             while engine.firings() < target {
                 t += 0.05;
@@ -82,5 +72,11 @@ fn main() {
             exact = engine.exact_steps();
         }
     }
-    println!("{firings} firings in {leaps} leaps + {exact} exact steps");
+    let wall = start.elapsed().as_secs_f64();
+    println!(
+        "{firings} firings in {leaps} leaps + {exact} exact steps; kernel {:?}, \
+         {wall:.3} s, {:.0} firings/s",
+        KernelDispatch::Auto.resolve(),
+        firings as f64 / wall
+    );
 }

@@ -81,21 +81,11 @@ const SSA_RATIO_FLOORS: [(&str, f64, f64); 2] = [
 /// effect grows with rule count — see the `wide_flat_cycle` case).
 const FULL_RECOMPUTE_ENGINE: &str = "adaptive-0.05-fullrecompute";
 
-/// The forced-incidence replica: identical draws, incidence-list cache
-/// refresh regardless of rule count. The `FULL_RECOMPUTE_MAX_RULES`
-/// heuristic currently defaults every model to the cache, so this row
-/// matches the plain adaptive rows; it stays pinned against
-/// [`FULL_RECOMPUTE_ENGINE`] so the crossover can be re-derived from
-/// the JSON whenever the hot path changes.
-const INCIDENCE_ENGINE: &str = "adaptive-0.05-incidence";
-
-/// How a measured engine is built (the recompute replicas are not
-/// `EngineKind`s — they are diagnostic knobs on the adaptive engine that
-/// override its rule-count heuristic in each direction).
+/// How a measured engine is built (the full-recompute replica is not an
+/// `EngineKind` — it is the adaptive engine's test oracle).
 enum EngineSpec {
     Kind(EngineKind),
     AdaptiveFullRecompute { epsilon: f64 },
-    AdaptiveIncidence { epsilon: f64 },
 }
 
 struct Measurement {
@@ -139,15 +129,6 @@ fn measure(
                 firings += engine.run_until(t_end);
                 endpoints.push(engine.observe()[0] as f64);
             }
-            EngineSpec::AdaptiveIncidence { epsilon } => {
-                let mut engine =
-                    AdaptiveTauEngine::with_deps(Arc::clone(model), Arc::clone(deps), 1, i)
-                        .expect("flat benchmark models")
-                        .with_epsilon(*epsilon)
-                        .with_incidence_cache();
-                firings += engine.run_until(t_end);
-                endpoints.push(engine.observe()[0] as f64);
-            }
         }
     }
     let wall = start.elapsed().as_secs_f64();
@@ -180,10 +161,6 @@ fn engines_for(fixed_tau: f64) -> Vec<(String, EngineSpec)> {
         (
             FULL_RECOMPUTE_ENGINE.into(),
             EngineSpec::AdaptiveFullRecompute { epsilon: 0.05 },
-        ),
-        (
-            INCIDENCE_ENGINE.into(),
-            EngineSpec::AdaptiveIncidence { epsilon: 0.05 },
         ),
         (
             "hybrid".into(),
@@ -309,10 +286,9 @@ fn parse_rates(json: &str) -> Vec<((String, String), f64)> {
         .collect()
 }
 
-/// Incidence-cache gain per model: the forced-incidence replica's
-/// firings/sec over the forced-full-recompute replica (same draws, same
-/// results — pure propensity-refresh cost). Both sides are pinned
-/// because the plain adaptive rows auto-pick the faster side per model.
+/// Incidence-cache gain per model: the [`GATED_ENGINE`]'s firings/sec
+/// over its full-recompute replica (same draws, same results — pure
+/// propensity-refresh cost).
 fn incidence_gains(json: &str) -> Vec<(String, f64)> {
     let rates = parse_rates(json);
     let rate_of = |model: &str, engine: &str| -> Option<f64> {
@@ -326,7 +302,7 @@ fn incidence_gains(json: &str) -> Vec<(String, f64)> {
     models
         .into_iter()
         .filter_map(|m| {
-            let fast = rate_of(&m, INCIDENCE_ENGINE)?;
+            let fast = rate_of(&m, GATED_ENGINE)?;
             let slow = rate_of(&m, FULL_RECOMPUTE_ENGINE)?;
             (slow > 0.0).then_some((m, fast / slow))
         })

@@ -29,9 +29,9 @@
 //!   batched configuration still beats the single instance (ratio ≥ 1)
 //!   and — on hosts with the SIMD kernels — keeps its committed edge
 //!   within the tolerance;
-//! - `--kernels K` with `--batched`: force the kernel dispatch (`auto`,
-//!   `scalar` or `simd`); trajectories are bit-identical either way, so
-//!   this only moves the throughput numbers.
+//! - `--kernels K` with `--batched`: the kernel dispatch (`auto` or
+//!   `scalar`); trajectories are bit-identical either way, so this only
+//!   moves the throughput numbers.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -692,7 +692,7 @@ fn main() {
     let quick = bench::quick_mode();
     let batched_mode = std::env::args().any(|a| a == "--batched");
     let dispatch: KernelDispatch = arg_value("--kernels")
-        .map(|s| s.parse().expect("--kernels takes auto, scalar or simd"))
+        .map(|s| s.parse().expect("--kernels takes auto or scalar"))
         .unwrap_or_default();
     let results = if batched_mode {
         bench::note(&format!(

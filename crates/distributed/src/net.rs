@@ -48,6 +48,7 @@
 //!
 //! [`ModelDeps`]: gillespie::deps::ModelDeps
 //! [`ShardActivity`]: cwcsim::coordinator::ShardActivity
+//! [`ToCoordinator`]: crate::shard::ToCoordinator
 
 use std::collections::HashMap;
 use std::io::{self, Read};
@@ -59,15 +60,14 @@ use std::time::Duration;
 use cwc::model::Model;
 use cwcsim::config::SimConfig;
 use cwcsim::coordinator::{
-    ShardActivity, ShardEnd, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardMsg,
-    ShardSpec, ShardTransport,
+    ShardActivity, ShardError, ShardErrorKind, ShardFeed, ShardHandle, ShardSpec, ShardTransport,
 };
 use cwcsim::sim_farm::Steering;
 use gillespie::deps::ModelDeps;
 
 use crate::shard::{
-    read_frame, read_frame_at, serve_shard, write_frame, FrameError, ServeError, ShardJob,
-    ToCoordinator, ToShard,
+    forward_terminate, job_frame, read_frame, read_job, relay_frames, serve_job, write_frame,
+    FrameError, ServeError, ToShard,
 };
 use crate::wire::{self, Wire, WireError, WireReader};
 
@@ -205,8 +205,8 @@ pub fn connect_worker(
 
 /// The `cwc-workerd` daemon body: a TCP listener whose every accepted
 /// connection is served on its own thread — hello frame out, then
-/// [`serve_shard`] over the socket (the exact worker body `cwc-shard`
-/// runs over stdio, fault-injection harness included).
+/// the shard protocol over the socket (the exact worker body
+/// `cwc-shard` runs over stdio, fault-injection harness included).
 #[derive(Debug)]
 pub struct WorkerDaemon {
     listener: TcpListener,
@@ -261,20 +261,26 @@ impl WorkerDaemon {
 }
 
 /// Serves one accepted coordinator connection: writes the registration
-/// hello, then hands the socket to [`serve_shard`].
+/// hello, then serves the shard protocol over the socket like
+/// [`serve_shard`](crate::shard::serve_shard). A peer that closes after
+/// the hello without sending a job (a probe or a handshake-only check)
+/// is a normal close.
 ///
 /// # Errors
 ///
-/// Returns [`ServeError`] exactly as `serve_shard` does, plus frame
-/// I/O errors writing the hello.
-pub fn serve_connection(stream: TcpStream, capacity: u64) -> Result<(), ServeError> {
+/// Returns [`ServeError`] as `serve_shard` does, except for the empty
+/// stream, plus frame I/O errors writing the hello.
+pub fn serve_connection(mut stream: TcpStream, capacity: u64) -> Result<(), ServeError> {
     let _ = stream.set_nodelay(true);
     let mut writer = stream
         .try_clone()
         .map_err(|e| ServeError::Frame(FrameError::Io(e)))?;
     write_frame(&mut writer, &WorkerHello::current(capacity))
         .map_err(|e| ServeError::Frame(FrameError::Io(e)))?;
-    serve_shard(stream, writer)
+    match read_job(&mut stream)? {
+        Some(job) => serve_job(job, stream, writer),
+        None => Ok(()),
+    }
 }
 
 /// Where one shard attempt ran — the transport's placement record,
@@ -492,16 +498,12 @@ impl ShardTransport for TcpShardTransport {
             // Ship the job — model, spec and the coordinator's one
             // dependency compilation — on a writable clone of the
             // socket (the clone then carries Terminate frames).
-            let job = ShardJob {
-                model: (*model).clone(),
-                spec: spec.clone(),
-                deps: Some((*deps).clone()),
-            };
             let send = stream
                 .try_clone()
                 .map_err(FrameError::Io)
                 .and_then(|mut wr| {
-                    write_frame(&mut wr, &ToShard::Job(Box::new(job))).map_err(FrameError::Io)?;
+                    write_frame(&mut wr, &job_frame(&model, &deps, spec))
+                        .map_err(FrameError::Io)?;
                     Ok(wr)
                 });
             let mut writer = match send {
@@ -530,19 +532,9 @@ impl ShardTransport for TcpShardTransport {
             // Steering watcher: forwards global termination as a
             // Terminate frame so the worker drains at the next quantum
             // boundaries, exactly like the process transport.
-            {
-                let steering = steering.clone();
-                let done = Arc::clone(&done);
-                std::thread::spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        if steering.is_terminated() {
-                            let _ = write_frame(&mut writer, &ToShard::Terminate);
-                            break;
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                });
-            }
+            forward_terminate(steering, &done, move || {
+                let _ = write_frame(&mut writer, &ToShard::Terminate);
+            });
 
             let cancel = {
                 let stop = Arc::clone(&stop);
@@ -558,41 +550,16 @@ impl ShardTransport for TcpShardTransport {
             let reader_registry = Arc::clone(&self.registry);
             let join = std::thread::spawn(move || {
                 let mut input = PatientStream { stream, stop };
-                let mut offset = 0u64;
-                let result = loop {
-                    let frame_start = offset;
-                    match read_frame_at::<ToCoordinator>(&mut input, &mut offset) {
-                        Ok(Some(ToCoordinator::Progress { .. })) => activity.touch(),
-                        Ok(Some(ToCoordinator::Cut(cut))) => {
-                            activity.touch();
-                            activity.set_blocked(true);
-                            let delivered = sink.send(ShardFeed::Msg(ShardMsg::Cut(cut))).is_ok();
-                            activity.set_blocked(false);
-                            if !delivered {
-                                break Ok(()); // attempt cancelled / run over
-                            }
-                        }
-                        Ok(Some(ToCoordinator::End { events, summary })) => {
-                            activity.touch();
-                            let _ = sink
-                                .send(ShardFeed::Msg(ShardMsg::End(ShardEnd { events, summary })));
-                            break Ok(());
-                        }
-                        Ok(Some(ToCoordinator::Error(msg))) => break Err(ShardErrorKind::Sim(msg)),
-                        Ok(None) => {
-                            break Err(ShardErrorKind::Crashed(format!(
-                                "worker {addr} closed the connection before its \
-                                 end-of-stream report"
-                            )));
-                        }
-                        Err(e) => {
-                            break Err(ShardErrorKind::Frame {
-                                offset: e.offset().unwrap_or(frame_start),
-                                detail: format!("worker {addr}: {e}"),
-                            })
-                        }
-                    }
-                };
+                let result = relay_frames(&mut input, &sink, &activity, || {
+                    format!("worker {addr} closed the connection before its end-of-stream report")
+                })
+                .map_err(|kind| match kind {
+                    ShardErrorKind::Frame { offset, detail } => ShardErrorKind::Frame {
+                        offset,
+                        detail: format!("worker {addr}: {detail}"),
+                    },
+                    other => other,
+                });
                 done.store(true, Ordering::Release);
                 if let Err(kind) = result {
                     // The connection died mid-run: assume the worker is
@@ -807,6 +774,23 @@ mod tests {
         assert!(err.to_string().contains("no live worker"), "{err}");
         assert!(transport.alive_workers().is_empty());
         assert!(transport.placements().is_empty());
+    }
+
+    #[test]
+    fn handshake_only_connection_is_a_normal_close() {
+        // A coordinator that checks a worker and hangs up without a job
+        // (e.g. a set-up probe) is not a protocol error for the daemon.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let served = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            serve_connection(stream, 1)
+        });
+        let (stream, hello) = connect_worker(&addr, short()).unwrap();
+        assert_eq!(hello, WorkerHello::current(1));
+        drop(stream);
+        let result = served.join().unwrap();
+        assert!(result.is_ok(), "{result:?}");
     }
 
     #[test]

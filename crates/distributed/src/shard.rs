@@ -417,18 +417,34 @@ impl From<FrameError> for ServeError {
 ///
 /// Returns [`ServeError`] on a malformed input stream, a malformed
 /// fault plan, a fired (non-stall) fault, or when `output` fails.
-pub fn serve_shard<R, W>(mut input: R, mut output: W) -> Result<(), ServeError>
+pub fn serve_shard<R, W>(mut input: R, output: W) -> Result<(), ServeError>
 where
     R: Read + Send + 'static,
     W: Write + Send,
 {
-    let job = match read_frame::<ToShard>(&mut input)? {
-        Some(ToShard::Job(job)) => *job,
-        Some(ToShard::Terminate) => {
-            return Err(ServeError::Protocol("terminate before job".into()))
-        }
-        None => return Err(ServeError::Protocol("empty input stream".into())),
-    };
+    match read_job(&mut input)? {
+        Some(job) => serve_job(job, input, output),
+        None => Err(ServeError::Protocol("empty input stream".into())),
+    }
+}
+
+/// Reads a worker's leading job frame; `Ok(None)` when the stream ends
+/// cleanly before it.
+pub(crate) fn read_job(input: &mut impl Read) -> Result<Option<ShardJob>, ServeError> {
+    match read_frame::<ToShard>(input)? {
+        Some(ToShard::Job(job)) => Ok(Some(*job)),
+        Some(ToShard::Terminate) => Err(ServeError::Protocol("terminate before job".into())),
+        None => Ok(None),
+    }
+}
+
+/// [`serve_shard`] past the job frame: runs `job` while watching
+/// `input` for `Terminate`.
+pub(crate) fn serve_job<R, W>(job: ShardJob, mut input: R, mut output: W) -> Result<(), ServeError>
+where
+    R: Read + Send + 'static,
+    W: Write + Send,
+{
     // Re-validate the shipped model before running anything (the wire
     // decoder only checks structure): an invalid model is a graceful
     // Error frame for the coordinator, not a worker panic.
@@ -696,11 +712,6 @@ impl ShardTransport for ProcessTransport {
         activity: Arc<ShardActivity>,
     ) -> Result<ShardHandle, ShardError> {
         let shard = spec.range.shard;
-        let job = ShardJob {
-            model: (*model).clone(),
-            spec: spec.clone(),
-            deps: Some((*deps).clone()),
-        };
         let spawn_err = |m: String| ShardError::new(shard, ShardErrorKind::Spawn(m));
         let mut cmd = Command::new(&self.binary);
         cmd.stdin(Stdio::piped())
@@ -713,9 +724,9 @@ impl ShardTransport for ProcessTransport {
             .spawn()
             .map_err(|e| spawn_err(format!("{}: {e}", self.binary.display())))?;
         let mut stdin = child.stdin.take().expect("piped stdin");
-        let stdout = child.stdout.take().expect("piped stdout");
+        let mut stdout = child.stdout.take().expect("piped stdout");
         let stderr_pipe = child.stderr.take().expect("piped stderr");
-        if let Err(e) = write_frame(&mut stdin, &ToShard::Job(Box::new(job))) {
+        if let Err(e) = write_frame(&mut stdin, &job_frame(&model, &deps, spec)) {
             let _ = child.kill();
             let _ = child.wait();
             return Err(spawn_err(format!("failed to send job: {e}")));
@@ -758,21 +769,13 @@ impl ShardTransport for ProcessTransport {
 
         {
             let stdin = Arc::clone(&stdin);
-            let done = Arc::clone(&done);
             let note = Arc::clone(&terminate_note);
-            let steering = steering.clone();
-            std::thread::spawn(move || {
-                while !done.load(Ordering::Acquire) {
-                    if steering.is_terminated() {
-                        if let Some(pipe) = stdin.lock().expect("stdin mutex").as_mut() {
-                            if let Err(e) = write_frame(pipe, &ToShard::Terminate) {
-                                *note.lock().expect("terminate note mutex") =
-                                    Some(format!("terminate frame write failed: {e}"));
-                            }
-                        }
-                        break;
+            forward_terminate(steering, &done, move || {
+                if let Some(pipe) = stdin.lock().expect("stdin mutex").as_mut() {
+                    if let Err(e) = write_frame(pipe, &ToShard::Terminate) {
+                        *note.lock().expect("terminate note mutex") =
+                            Some(format!("terminate frame write failed: {e}"));
                     }
-                    std::thread::sleep(Duration::from_millis(2));
                 }
             });
         }
@@ -795,49 +798,9 @@ impl ShardTransport for ProcessTransport {
         let reader_child = Arc::clone(&child);
         let join = std::thread::spawn(move || {
             let _hold_stdin = reader_stdin; // closed when the reader ends
-            let mut out = stdout;
-            let mut offset = 0u64;
-            let result = loop {
-                let frame_start = offset;
-                match read_frame_at::<ToCoordinator>(&mut out, &mut offset) {
-                    Ok(Some(ToCoordinator::Progress { .. })) => {
-                        // Heartbeat: liveness only, never forwarded.
-                        activity.touch();
-                    }
-                    Ok(Some(ToCoordinator::Cut(cut))) => {
-                        activity.touch();
-                        // Blocking on the bounded channel is waiting on
-                        // the *coordinator*, not the shard — exempt from
-                        // the watchdog for the duration.
-                        activity.set_blocked(true);
-                        let delivered = sink.send(ShardFeed::Msg(ShardMsg::Cut(cut))).is_ok();
-                        activity.set_blocked(false);
-                        if !delivered {
-                            break Ok(()); // attempt cancelled / run over
-                        }
-                    }
-                    Ok(Some(ToCoordinator::End { events, summary })) => {
-                        activity.touch();
-                        let _ =
-                            sink.send(ShardFeed::Msg(ShardMsg::End(ShardEnd { events, summary })));
-                        break Ok(());
-                    }
-                    Ok(Some(ToCoordinator::Error(msg))) => {
-                        break Err(ShardErrorKind::Sim(msg));
-                    }
-                    Ok(None) => {
-                        break Err(ShardErrorKind::Crashed(
-                            "worker exited before its end-of-stream report".into(),
-                        ));
-                    }
-                    Err(e) => {
-                        break Err(ShardErrorKind::Frame {
-                            offset: e.offset().unwrap_or(frame_start),
-                            detail: e.to_string(),
-                        })
-                    }
-                }
-            };
+            let result = relay_frames(&mut stdout, &sink, &activity, || {
+                "worker exited before its end-of-stream report".into()
+            });
             done.store(true, Ordering::Release);
             // Reap the child; enrich failures with its status, stderr
             // and any recorded Terminate-write failure.
@@ -896,6 +859,87 @@ fn enrich(
         detail.push_str(&format!("; {note}"));
     }
     detail
+}
+
+/// The job frame of one shard attempt: the run's model, the attempt's
+/// spec and the coordinator's one dependency compilation.
+pub(crate) fn job_frame(model: &Model, deps: &ModelDeps, spec: &ShardSpec) -> ToShard {
+    ToShard::Job(Box::new(ShardJob {
+        model: model.clone(),
+        spec: spec.clone(),
+        deps: Some(deps.clone()),
+    }))
+}
+
+/// Spawns the steering watcher of one shard attempt: polls `steering`
+/// every 2 ms until the attempt's reader sets `done`, and on
+/// termination calls `send_terminate` once — the transport's write of a
+/// `Terminate` frame, so the worker drains at the next quantum
+/// boundaries.
+pub(crate) fn forward_terminate(
+    steering: &Steering,
+    done: &Arc<AtomicBool>,
+    send_terminate: impl FnOnce() + Send + 'static,
+) {
+    let steering = steering.clone();
+    let done = Arc::clone(done);
+    std::thread::spawn(move || {
+        while !done.load(Ordering::Acquire) {
+            if steering.is_terminated() {
+                send_terminate();
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    });
+}
+
+/// Relays one shard attempt's [`ToCoordinator`] stream into the
+/// supervisor's feed until the stream ends. `Progress`, `Cut` and `End`
+/// frames touch the watchdog's `activity` clock; heartbeats go no
+/// further. `Ok(())` after `End`, or when the feed is gone (attempt
+/// cancelled, run over). Failures come back for the transport to
+/// decorate: an `Error` frame as [`ShardErrorKind::Sim`], EOF before
+/// `End` as [`ShardErrorKind::Crashed`] with the transport's `eof`
+/// wording, and a bad frame as [`ShardErrorKind::Frame`] at its offset.
+pub(crate) fn relay_frames(
+    input: &mut impl Read,
+    sink: &mpsc::SyncSender<ShardFeed>,
+    activity: &ShardActivity,
+    eof: impl FnOnce() -> String,
+) -> Result<(), ShardErrorKind> {
+    let mut offset = 0u64;
+    loop {
+        let frame_start = offset;
+        match read_frame_at::<ToCoordinator>(input, &mut offset) {
+            Ok(Some(ToCoordinator::Progress { .. })) => activity.touch(),
+            Ok(Some(ToCoordinator::Cut(cut))) => {
+                activity.touch();
+                // Blocking on the bounded channel is waiting on the
+                // *coordinator*, not the shard — exempt from the watchdog
+                // for the duration.
+                activity.set_blocked(true);
+                let delivered = sink.send(ShardFeed::Msg(ShardMsg::Cut(cut))).is_ok();
+                activity.set_blocked(false);
+                if !delivered {
+                    return Ok(());
+                }
+            }
+            Ok(Some(ToCoordinator::End { events, summary })) => {
+                activity.touch();
+                let _ = sink.send(ShardFeed::Msg(ShardMsg::End(ShardEnd { events, summary })));
+                return Ok(());
+            }
+            Ok(Some(ToCoordinator::Error(msg))) => return Err(ShardErrorKind::Sim(msg)),
+            Ok(None) => return Err(ShardErrorKind::Crashed(eof())),
+            Err(e) => {
+                return Err(ShardErrorKind::Frame {
+                    offset: e.offset().unwrap_or(frame_start),
+                    detail: e.to_string(),
+                })
+            }
+        }
+    }
 }
 
 /// Runs a sharded simulation with real `cwc-shard` child processes (one

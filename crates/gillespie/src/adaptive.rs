@@ -57,25 +57,6 @@ pub const N_CRITICAL: u64 = 10;
 /// instead of leaping.
 pub const SSA_FALLBACK_MULT: f64 = 10.0;
 
-/// Models with at most this many rules default to *full* propensity
-/// recomputation per draw instead of the incidence-list cache refresh.
-///
-/// The cache turns the per-commit refresh from O(rules) into
-/// O(affected). Before the kernel-accelerated hot path this paid off
-/// only when the gap was wide (incidence was ~5% slower on the 4-rule
-/// Schlögl and 3-rule Lotka–Volterra, so the crossover sat at 32
-/// rules). Re-deriving it on the kernel path — `profile_adaptive` with
-/// `CWC_PROFILE_REFRESH`, conversion cycles of 3..48 rules, best of
-/// three — the incidence path now wins at *every* rule count in the
-/// critical regime (1.3–3x, e.g. 3 rules: 296 ms vs 388 ms for 2M
-/// firings) and ties within noise in the leap regime, so the crossover
-/// is zero: every model defaults to the incidence cache, and full
-/// recomputation survives purely as the diagnostic replica. Results are
-/// bit-identical on both sides, so the constant is a pure throughput
-/// knob; [`AdaptiveTauEngine::with_full_recompute`] and
-/// [`AdaptiveTauEngine::with_incidence_cache`] override it per engine.
-pub const FULL_RECOMPUTE_MAX_RULES: usize = 0;
-
 /// Two-sided relative slack around the incremental `a0` estimate used to
 /// screen the SSA-fallback guard without folding the full row. The
 /// estimate's true drift from the exact fold bits is bounded by roughly
@@ -114,9 +95,10 @@ struct PendingTransition {
 /// `props`, the enabled/critical masks and their counts by walking
 /// `FlatModel::incidence` over the changed species; the two prefix rows
 /// lazily, refolded from a dirty watermark through the width-1 row
-/// kernels of [`crate::batch::kernels`] (honouring the engine's
-/// [`KernelDispatch`]). Every value is bit-identical to what the
-/// full-recompute replica scans up from scratch on each draw.
+/// kernels of [`crate::batch::kernels`] (the process's [`Kernel`] set:
+/// AVX2 when the CPU has it, the scalar reference under
+/// [`kernels::FORCE_SCALAR_ENV`]). Every value is bit-identical to what
+/// the full-recompute replica scans up from scratch on each draw.
 #[derive(Debug, Clone, Default)]
 struct HotState {
     /// Cached per-rule propensities of the committed state.
@@ -338,11 +320,9 @@ pub struct AdaptiveTauEngine {
     hot: HotState,
     /// True once `hot` describes the committed state.
     cache_ready: bool,
-    /// Replica knob: recompute every propensity, criticality flag and
-    /// fold on every draw with plain scalar scans (the pre-kernel
-    /// behaviour). Bit-identical results; exists so tests and the
-    /// `adaptive_tau` bench can pin/measure what the incremental hot
-    /// path buys.
+    /// Replica oracle (see [`AdaptiveTauEngine::with_full_recompute`]):
+    /// recompute every propensity, criticality flag and fold on every
+    /// draw with plain scalar scans.
     full_recompute: bool,
     /// Per-species "already marked changed" bitmap, un-marked after each
     /// draw so steady state does no O(species) clearing.
@@ -355,8 +335,7 @@ pub struct AdaptiveTauEngine {
     /// Recycled `updates` allocation: commits return the spent vector
     /// here, the next draw reuses it (zero steady-state allocation).
     updates_pool: Vec<(usize, i64)>,
-    /// Requested kernel dispatch policy and its resolution.
-    dispatch: KernelDispatch,
+    /// This process's kernel set, resolved once at construction.
     kernel: Kernel,
 }
 
@@ -388,13 +367,6 @@ impl AdaptiveTauEngine {
         let flat = FlatModel::compile(&model, &deps, "adaptive tau-leaping")?;
         let state = flat.initial_state(&model);
         let species_len = flat.species.len();
-        // Rule-count heuristic (see FULL_RECOMPUTE_MAX_RULES, currently
-        // zero: every model defaults to the incidence cache — the
-        // comparison is kept generic so a re-derived crossover is a
-        // one-constant change). Either way the trajectory is
-        // bit-identical.
-        #[allow(clippy::absurd_extreme_comparisons)]
-        let full_recompute = flat.rates.len() <= FULL_RECOMPUTE_MAX_RULES;
         Ok(AdaptiveTauEngine {
             model,
             flat,
@@ -413,60 +385,37 @@ impl AdaptiveTauEngine {
             cgp_scratch: CgpScratch::default(),
             hot: HotState::default(),
             cache_ready: false,
-            full_recompute,
+            full_recompute: false,
             seen_buf: vec![false; species_len],
             cand_buf: vec![0; species_len],
             changed_buf: Vec::new(),
             updates_pool: Vec::new(),
-            dispatch: KernelDispatch::Auto,
             kernel: KernelDispatch::Auto.resolve(),
         })
     }
 
-    /// Sets the kernel dispatch policy for the hot path's row folds,
-    /// selection scans and masked sweeps (default [`KernelDispatch::Auto`]).
-    /// Every dispatch produces bit-identical trajectories; the knob exists
-    /// for benchmarking and for pinning the scalar reference in tests.
-    pub fn with_kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
-        self.dispatch = dispatch;
-        self.kernel = dispatch.resolve();
-        self
-    }
-
-    /// The configured kernel dispatch policy.
-    pub fn kernel_dispatch(&self) -> KernelDispatch {
-        self.dispatch
-    }
-
     /// Disables the incidence-list propensity cache: every draw
-    /// recomputes all propensities from the state vector. Results are
-    /// bit-identical either way — this overrides the rule-count
-    /// heuristic (see [`FULL_RECOMPUTE_MAX_RULES`]) so benchmarks can
-    /// measure the cache.
+    /// recomputes all propensities, criticality flags and folds from the
+    /// state vector with plain scalar scans. Results are bit-identical
+    /// either way; this replica is the oracle the hot-path tests and the
+    /// `adaptive_tau` bench's `adaptive-0.05-fullrecompute` row compare
+    /// the incremental path against.
+    ///
+    /// The cache turns the per-commit refresh from O(rules) into
+    /// O(affected), and it is the default for every model. Before the
+    /// kernel-routed hot path it paid off only when the gap was wide
+    /// (incidence was ~5% slower on the 4-rule Schlögl and 3-rule
+    /// Lotka–Volterra, so the crossover sat at 32 rules). Re-derived on
+    /// the kernel path with `profile_adaptive` (conversion cycles of
+    /// 3..48 rules, best of three), the incidence path wins at *every*
+    /// rule count in the critical regime (1.3–3x, e.g. 3 rules: 296 ms vs
+    /// 388 ms for 2M firings) and ties within noise in the leap regime,
+    /// so no model size defaults to full recomputation.
     pub fn with_full_recompute(mut self) -> Self {
         self.full_recompute = true;
         self.cache_ready = false;
         self.cgp_scratch = CgpScratch::default();
         self
-    }
-
-    /// Forces the incidence-list propensity cache on, overriding the
-    /// rule-count heuristic (see [`FULL_RECOMPUTE_MAX_RULES`] —
-    /// currently zero, so this is already the default for every
-    /// model). Results are bit-identical either way.
-    pub fn with_incidence_cache(mut self) -> Self {
-        self.full_recompute = false;
-        self.cache_ready = false;
-        self.cgp_scratch = CgpScratch::default();
-        self
-    }
-
-    /// True when every draw recomputes all propensities (heuristic
-    /// default for small models, or forced via
-    /// [`AdaptiveTauEngine::with_full_recompute`]); false when commits
-    /// refresh the incidence-list cache instead.
-    pub fn full_recompute(&self) -> bool {
-        self.full_recompute
     }
 
     /// Sets the CGP relative-change bound ε.
@@ -1205,12 +1154,9 @@ mod tests {
             Arc::new(m)
         };
         for seed in [1u64, 9, 42] {
-            // 12 rules sit below the heuristic crossover, so the cache
-            // side must be forced on for this comparison to test it.
             let mut fast = AdaptiveTauEngine::new(Arc::clone(&model), seed, 0)
                 .unwrap()
-                .with_epsilon(0.05)
-                .with_incidence_cache();
+                .with_epsilon(0.05);
             let mut slow = AdaptiveTauEngine::new(Arc::clone(&model), seed, 0)
                 .unwrap()
                 .with_epsilon(0.05)
@@ -1231,47 +1177,6 @@ mod tests {
             assert_eq!(fast.leaps(), slow.leaps(), "seed {seed}");
             assert_eq!(fast.exact_steps(), slow.exact_steps(), "seed {seed}");
         }
-    }
-
-    #[test]
-    fn recompute_heuristic_crosses_over_at_the_pinned_rule_count() {
-        // The kernel-path re-derivation put the crossover at zero:
-        // incidence wins at every measured rule count (see
-        // FULL_RECOMPUTE_MAX_RULES), so even the smallest buildable
-        // model must default to the incidence cache. The equality pin
-        // makes a silent bump of the constant fail here, forcing a
-        // fresh measurement.
-        assert_eq!(FULL_RECOMPUTE_MAX_RULES, 0, "re-derive before bumping");
-        let cycle = |rules: usize| {
-            let mut m = Model::new("cycle");
-            for i in 0..rules {
-                let name = format!("S{i}");
-                let s = m.species(&name);
-                m.initial.add_atoms(s, 50);
-            }
-            for i in 0..rules {
-                m.rule(&format!("r{i}"))
-                    .consumes(&format!("S{i}"), 1)
-                    .produces(&format!("S{}", (i + 1) % rules), 1)
-                    .rate(1.0)
-                    .build()
-                    .unwrap();
-            }
-            Arc::new(m)
-        };
-        for rules in [2, 3, 33, 300] {
-            let at = AdaptiveTauEngine::new(cycle(rules), 1, 0).unwrap();
-            assert!(!at.full_recompute(), "{rules} rules ⇒ incidence cache");
-        }
-        // Both overrides beat the heuristic, in both directions.
-        let forced_cache = AdaptiveTauEngine::new(cycle(2), 1, 0)
-            .unwrap()
-            .with_incidence_cache();
-        assert!(!forced_cache.full_recompute());
-        let forced_full = AdaptiveTauEngine::new(cycle(2), 1, 0)
-            .unwrap()
-            .with_full_recompute();
-        assert!(forced_full.full_recompute());
     }
 
     #[test]

@@ -170,9 +170,7 @@ pub struct BatchedSsaEngine {
     /// every slot — the initial state), or the slot that fired since the
     /// last refresh (recompute only its incidence list).
     dirty: Vec<u32>,
-    /// The configured kernel selection knob.
-    dispatch: KernelDispatch,
-    /// The kernel set `dispatch` resolved to on this CPU.
+    /// The kernel set this batch runs on (see [`KernelDispatch::resolve`]).
     kernel: Kernel,
     /// Scratch slot-union set for the chunked incidence refresh.
     seen: SlotSet,
@@ -294,7 +292,6 @@ impl BatchedSsaEngine {
             slot_delta_idx.push(slot_delta.len() as u32);
         }
         let plans: Vec<SlotPlan> = slot_reactants.iter().map(|rs| SlotPlan::of(rs)).collect();
-        let dispatch = KernelDispatch::Auto;
         Ok(BatchedSsaEngine {
             model,
             width,
@@ -317,8 +314,7 @@ impl BatchedSsaEngine {
             steps: vec![0; width],
             affects,
             dirty: vec![DIRTY_ALL; width],
-            dispatch,
-            kernel: dispatch.resolve(),
+            kernel: KernelDispatch::Auto.resolve(),
             seen: SlotSet::new(nr),
             draw_mask: vec![false; width],
             fire_mask: vec![false; width],
@@ -335,19 +331,8 @@ impl BatchedSsaEngine {
     /// any point without perturbing the trajectory.
     #[must_use]
     pub fn with_kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
-        self.dispatch = dispatch;
         self.kernel = dispatch.resolve();
         self
-    }
-
-    /// The configured kernel selection knob.
-    pub fn kernel_dispatch(&self) -> KernelDispatch {
-        self.dispatch
-    }
-
-    /// Whether the knob resolved to the SIMD kernels on this CPU.
-    pub fn simd_kernels_active(&self) -> bool {
-        self.kernel == Kernel::Avx2
     }
 
     /// Checks that `model` can drive a batch at all (flat, top-level,

@@ -46,10 +46,12 @@
 //!    assignment draws of a round share one fused sweep, costing a
 //!    single state load/store round-trip.
 //!
-//! Dispatch is a [`KernelDispatch`] knob (auto/scalar/simd) resolved once
-//! per engine; setting the [`FORCE_SCALAR_ENV`] environment variable
-//! forces the scalar reference everywhere, which is how CI exercises both
-//! implementations against the same golden fingerprints.
+//! Every engine resolves [`KernelDispatch::Auto`] once at construction:
+//! AVX2 when the CPU has it, the scalar reference otherwise. Setting the
+//! [`FORCE_SCALAR_ENV`] environment variable forces the scalar reference
+//! everywhere, which is how CI exercises both implementations against
+//! the same golden fingerprints. Only the batched engine takes an
+//! explicit [`KernelDispatch`] (`step_throughput --kernels`).
 
 use std::ops::Range;
 
@@ -69,10 +71,12 @@ pub(crate) const CLEAN: u32 = u32::MAX;
 /// `dirty` marker: recompute every propensity row of the replica.
 pub(crate) const DIRTY_ALL: u32 = u32::MAX - 1;
 
-/// Kernel selection knob, threaded from the run configuration down to
-/// [`BatchedSsaEngine`](super::BatchedSsaEngine). The choice never
-/// changes results — both implementations are bit-for-bit identical — it
-/// only selects how the batched hot loops execute.
+/// Kernel selection policy. Engines resolve [`KernelDispatch::Auto`];
+/// [`BatchedSsaEngine::with_kernel_dispatch`](super::BatchedSsaEngine::with_kernel_dispatch)
+/// also takes [`KernelDispatch::Scalar`] so a benchmark can time both
+/// sets in one process. The choice never changes results — both
+/// implementations are bit-for-bit identical — it only selects how the
+/// hot loops execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelDispatch {
     /// Use SIMD kernels when the CPU supports them (runtime-detected),
@@ -81,10 +85,6 @@ pub enum KernelDispatch {
     Auto,
     /// Always use the portable scalar reference kernels.
     Scalar,
-    /// Request the SIMD kernels; falls back to scalar when the CPU lacks
-    /// AVX2 (results are identical either way, so this is a preference,
-    /// not a hard requirement).
-    Simd,
 }
 
 impl KernelDispatch {
@@ -109,9 +109,8 @@ impl std::str::FromStr for KernelDispatch {
         match s {
             "auto" => Ok(KernelDispatch::Auto),
             "scalar" => Ok(KernelDispatch::Scalar),
-            "simd" => Ok(KernelDispatch::Simd),
             other => Err(format!(
-                "unknown kernel dispatch `{other}` (expected auto, scalar or simd)"
+                "unknown kernel dispatch `{other}` (expected auto or scalar)"
             )),
         }
     }
@@ -122,7 +121,6 @@ impl std::fmt::Display for KernelDispatch {
         f.write_str(match self {
             KernelDispatch::Auto => "auto",
             KernelDispatch::Scalar => "scalar",
-            KernelDispatch::Simd => "simd",
         })
     }
 }
@@ -2272,7 +2270,6 @@ mod tests {
         // it is set, everything must resolve scalar.
         if std::env::var_os(FORCE_SCALAR_ENV).is_some() {
             assert_eq!(KernelDispatch::Auto.resolve(), Kernel::Scalar);
-            assert_eq!(KernelDispatch::Simd.resolve(), Kernel::Scalar);
             assert_eq!(KernelDispatch::Scalar.resolve(), Kernel::Scalar);
             return;
         }
@@ -2283,8 +2280,6 @@ mod tests {
             Kernel::Scalar
         };
         assert_eq!(KernelDispatch::Auto.resolve(), want);
-        assert_eq!(KernelDispatch::Simd.resolve(), want);
-        assert_eq!("simd".parse::<KernelDispatch>(), Ok(KernelDispatch::Simd));
         assert_eq!("auto".parse::<KernelDispatch>(), Ok(KernelDispatch::Auto));
         assert!("avx512".parse::<KernelDispatch>().is_err());
     }

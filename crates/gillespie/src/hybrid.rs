@@ -115,10 +115,8 @@ pub struct HybridEngine {
     switches: u64,
     /// Reusable accumulators for the per-decision CGP bound.
     cgp_scratch: CgpScratch,
-    /// Configured kernel knob (see [`KernelDispatch`]).
-    dispatch: KernelDispatch,
-    /// The knob resolved against this CPU: which kernels the leap-phase
-    /// folds run on. Never changes results — both are bit-identical.
+    /// This process's kernel set (see [`KernelDispatch::resolve`]),
+    /// resolved once at construction; both sets are bit-for-bit identical.
     kernel: Kernel,
     /// Reusable propensity row for the leap-phase decision.
     props_buf: Vec<f64>,
@@ -173,28 +171,11 @@ impl HybridEngine {
             leaps: 0,
             switches: 0,
             cgp_scratch: CgpScratch::default(),
-            dispatch: KernelDispatch::Auto,
             kernel: KernelDispatch::Auto.resolve(),
             props_buf: Vec::new(),
             active_buf: Vec::new(),
             cand_buf: Vec::new(),
         })
-    }
-
-    /// Selects the kernel implementation for the leap phase's full-width
-    /// folds (builder-style; the default is [`KernelDispatch::Auto`]).
-    /// Both dispatches are bit-for-bit identical, so this is a
-    /// performance knob, never a semantics knob.
-    #[must_use]
-    pub fn with_kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
-        self.dispatch = dispatch;
-        self.kernel = dispatch.resolve();
-        self
-    }
-
-    /// The configured kernel dispatch knob.
-    pub fn kernel_dispatch(&self) -> KernelDispatch {
-        self.dispatch
     }
 
     /// Sets the leap phase's CGP bound ε.

@@ -82,10 +82,8 @@ pub struct TauLeapEngine {
     instance: u64,
     leaps: u64,
     firings: u64,
-    /// Configured kernel knob (see [`KernelDispatch`]).
-    dispatch: KernelDispatch,
-    /// The knob resolved against this CPU; a performance knob only —
-    /// both kernel sets are bit-for-bit identical.
+    /// This process's kernel set (see [`KernelDispatch::resolve`]),
+    /// resolved once at construction; both sets are bit-for-bit identical.
     kernel: Kernel,
     /// Reusable propensity row for leap drawing.
     props_buf: Vec<f64>,
@@ -138,28 +136,11 @@ impl TauLeapEngine {
             instance,
             leaps: 0,
             firings: 0,
-            dispatch: KernelDispatch::Auto,
             kernel: KernelDispatch::Auto.resolve(),
             props_buf: Vec::new(),
             active_buf: Vec::new(),
             cand_buf: Vec::new(),
         })
-    }
-
-    /// Selects the kernel implementation for the per-leap propensity
-    /// fold (builder-style; the default is [`KernelDispatch::Auto`]).
-    /// Both dispatches are bit-for-bit identical, so this is a
-    /// performance knob, never a semantics knob.
-    #[must_use]
-    pub fn with_kernel_dispatch(mut self, dispatch: KernelDispatch) -> Self {
-        self.dispatch = dispatch;
-        self.kernel = dispatch.resolve();
-        self
-    }
-
-    /// The configured kernel dispatch knob.
-    pub fn kernel_dispatch(&self) -> KernelDispatch {
-        self.dispatch
     }
 
     /// Sets the native leap length used by the quantum-execution API.

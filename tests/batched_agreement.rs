@@ -72,7 +72,7 @@ fn batched_fingerprints(
 }
 
 /// Like [`batched_fingerprints`], with an explicit kernel dispatch — the
-/// scalar and SIMD kernel layers must both reproduce the goldens.
+/// scalar and AVX2 kernel layers must both reproduce the goldens.
 fn batched_fingerprints_with(
     model: Arc<Model>,
     seed: u64,
@@ -214,18 +214,14 @@ fn batched_trajectories_match_the_golden_scalar_fingerprints() {
     }
 }
 
-/// The kernel-dispatch matrix: forcing the scalar reference and
-/// requesting SIMD (which resolves to AVX2 where available, scalar
-/// elsewhere) must both land exactly on the golden fingerprints — the
-/// kernel layer may never change a bit of a trajectory. Together with
-/// CI's `CWC_FORCE_SCALAR_KERNELS` leg this runs the suite "both ways".
+/// The kernel-dispatch matrix: forcing the scalar reference and `Auto`
+/// (which resolves to AVX2 where available, scalar elsewhere) must both
+/// land exactly on the golden fingerprints — the kernel layer may never
+/// change a bit of a trajectory. Together with CI's
+/// `CWC_FORCE_SCALAR_KERNELS` leg this runs the suite "both ways".
 #[test]
 fn golden_fingerprints_hold_under_every_kernel_dispatch() {
-    for dispatch in [
-        KernelDispatch::Scalar,
-        KernelDispatch::Simd,
-        KernelDispatch::Auto,
-    ] {
+    for dispatch in [KernelDispatch::Scalar, KernelDispatch::Auto] {
         for batch_start in (0..GOLDEN.len()).step_by(WIDTH) {
             let &(model, seed, first, _, _, _, _) = &GOLDEN[batch_start];
             let got = batched_fingerprints_with(
@@ -256,7 +252,7 @@ fn wide_batches_match_scalar_instances_under_both_dispatches() {
     let model = model_by_name("schlogl");
     let t_end = 1.0;
     let scalar = scalar_fingerprints(Arc::clone(&model), 7, 2, 33, t_end);
-    for dispatch in [KernelDispatch::Scalar, KernelDispatch::Simd] {
+    for dispatch in [KernelDispatch::Scalar, KernelDispatch::Auto] {
         let got = batched_fingerprints_with(Arc::clone(&model), 7, 2, 33, t_end, dispatch);
         assert_eq!(got, scalar, "width-33 batch diverged under {dispatch}");
     }

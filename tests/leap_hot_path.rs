@@ -1,16 +1,19 @@
-//! Hot-path equivalence suite for the kernel-accelerated leap tier.
+//! Hot-path equivalence suite for the kernel-accelerated adaptive engine.
 //!
 //! The adaptive engine keeps criticality flags, the total propensity and
 //! the CGP accumulators *incrementally* (epoch-stamped, riding the
-//! incidence lists) and routes its full-width folds through the
-//! runtime-dispatched kernel layer. None of that is allowed to be
-//! observable: this suite pins the incremental engine against its
-//! full-recompute replica — same draws, same samples, same final state,
-//! bit for bit — across the model zoo and both kernel dispatches, and
-//! pins the hybrid and fixed tau-leap engines as dispatch-invariant on
-//! the same zoo. CI runs the whole file twice (once with
-//! `CWC_FORCE_SCALAR_KERNELS=1`), so the scalar reference path gets the
-//! identical coverage on AVX2 hosts too.
+//! incidence lists) and routes its full-width folds through the kernel
+//! layer. None of that is allowed to be observable: this suite pins the
+//! incremental engine against its full-recompute replica — same draws,
+//! same samples, same final state, bit for bit — across the model zoo and
+//! random conversion cycles.
+//!
+//! Engines resolve their kernel set once per process, so kernel
+//! invariance is covered by running suites twice: CI runs this file again
+//! with `CWC_FORCE_SCALAR_KERNELS=1`, which gives the scalar reference
+//! the identical coverage on AVX2 hosts, and `leap_goldens.rs` pins the
+//! hybrid and fixed tau-leap engines to recorded fingerprints under both
+//! legs.
 
 use std::sync::Arc;
 
@@ -20,9 +23,7 @@ use cwc_repro::biomodels::{
     conversion_cycle, lotka_volterra, schlogl, LotkaVolterraParams, SchloglParams,
 };
 use cwc_repro::cwc::model::Model;
-use cwc_repro::gillespie::{
-    AdaptiveTauEngine, HybridEngine, KernelDispatch, SampleClock, TauLeapEngine,
-};
+use cwc_repro::gillespie::{AdaptiveTauEngine, SampleClock};
 
 /// Everything observable about one trajectory: the sampled stream (times
 /// bit-exact via `to_bits`), the final observables, the clock, and the
@@ -68,49 +69,8 @@ fn trace_adaptive(mut engine: AdaptiveTauEngine, t_end: f64) -> Trace {
     }
 }
 
-fn trace_hybrid(mut engine: HybridEngine, t_end: f64) -> Trace {
-    let mut clock = SampleClock::new(0.0, t_end / 16.0);
-    let mut samples = Vec::new();
-    let mut firings = 0;
-    for t in quanta(t_end) {
-        firings += engine.run_sampled(t, &mut clock, |ts, v| {
-            samples.push((ts.to_bits(), v.to_vec()));
-        });
-    }
-    Trace {
-        samples,
-        finals: engine.observe(),
-        time: engine.time().to_bits(),
-        firings,
-        leaps: engine.leaps(),
-        exact_steps: engine.exact_steps(),
-    }
-}
-
-fn trace_tau_leap(mut engine: TauLeapEngine, t_end: f64) -> Trace {
-    let mut clock = SampleClock::new(0.0, t_end / 16.0);
-    let mut samples = Vec::new();
-    let mut firings = 0;
-    for t in quanta(t_end) {
-        firings += engine.run_sampled(t, &mut clock, |ts, v| {
-            samples.push((ts.to_bits(), v.to_vec()));
-        });
-    }
-    Trace {
-        samples,
-        finals: engine.observe(),
-        time: engine.time().to_bits(),
-        firings,
-        leaps: engine.leaps(),
-        exact_steps: 0,
-    }
-}
-
-/// Runs the adaptive engine in all six refresh × dispatch combinations
-/// and asserts one shared trace: {auto heuristic, forced incidence,
-/// forced full recompute} × {Auto, Scalar}. Under the scalar CI leg Auto
-/// resolves to the scalar kernels too — the equality is then trivially
-/// between scalar runs, which is exactly the coverage that leg wants.
+/// Runs the adaptive engine and its full-recompute replica and asserts
+/// one shared trace.
 fn assert_adaptive_replicas_agree(model: &Arc<Model>, seed: u64, instance: u64, t_end: f64) {
     let build = || AdaptiveTauEngine::new(Arc::clone(model), seed, instance).unwrap();
     let reference = trace_adaptive(build().with_epsilon(0.05), t_end);
@@ -118,72 +78,11 @@ fn assert_adaptive_replicas_agree(model: &Arc<Model>, seed: u64, instance: u64, 
         reference.firings > 0 || reference.leaps == 0,
         "zoo case fired nothing"
     );
-    let variants: [(&str, AdaptiveTauEngine); 5] = [
-        (
-            "full-recompute/auto",
-            build().with_epsilon(0.05).with_full_recompute(),
-        ),
-        (
-            "incidence/auto",
-            build().with_epsilon(0.05).with_incidence_cache(),
-        ),
-        (
-            "heuristic/scalar",
-            build()
-                .with_epsilon(0.05)
-                .with_kernel_dispatch(KernelDispatch::Scalar),
-        ),
-        (
-            "full-recompute/scalar",
-            build()
-                .with_epsilon(0.05)
-                .with_full_recompute()
-                .with_kernel_dispatch(KernelDispatch::Scalar),
-        ),
-        (
-            "incidence/scalar",
-            build()
-                .with_epsilon(0.05)
-                .with_incidence_cache()
-                .with_kernel_dispatch(KernelDispatch::Scalar),
-        ),
-    ];
-    for (what, engine) in variants {
-        assert_eq!(
-            trace_adaptive(engine, t_end),
-            reference,
-            "adaptive {what} diverged from heuristic/auto"
-        );
-    }
-}
-
-fn assert_hybrid_dispatch_invariant(model: &Arc<Model>, seed: u64, instance: u64, t_end: f64) {
-    let build = || {
-        HybridEngine::new(Arc::clone(model), seed, instance)
-            .unwrap()
-            .with_epsilon(0.05)
-            .with_threshold(8.0)
-    };
-    let auto = trace_hybrid(build(), t_end);
-    let scalar = trace_hybrid(build().with_kernel_dispatch(KernelDispatch::Scalar), t_end);
-    assert_eq!(auto, scalar, "hybrid dispatch changed the trajectory");
-}
-
-fn assert_tau_leap_dispatch_invariant(
-    model: &Arc<Model>,
-    seed: u64,
-    instance: u64,
-    tau: f64,
-    t_end: f64,
-) {
-    let build = || {
-        TauLeapEngine::new(Arc::clone(model), seed, instance)
-            .unwrap()
-            .with_tau(tau)
-    };
-    let auto = trace_tau_leap(build(), t_end);
-    let scalar = trace_tau_leap(build().with_kernel_dispatch(KernelDispatch::Scalar), t_end);
-    assert_eq!(auto, scalar, "tau-leap dispatch changed the trajectory");
+    assert_eq!(
+        trace_adaptive(build().with_epsilon(0.05).with_full_recompute(), t_end),
+        reference,
+        "adaptive full-recompute diverged from the incremental default"
+    );
 }
 
 /// The deterministic zoo: the bench models plus conversion-cycle
@@ -222,19 +121,11 @@ fn adaptive_replicas_agree_across_the_zoo() {
     }
 }
 
-#[test]
-fn hybrid_and_tau_leap_are_dispatch_invariant_across_the_zoo() {
-    for (_name, model, t_end) in zoo() {
-        assert_hybrid_dispatch_invariant(&model, 11, 2, t_end);
-        assert_tau_leap_dispatch_invariant(&model, 11, 2, 0.02, t_end);
-    }
-}
-
 proptest! {
     /// Random conversion-cycle structure: width from degenerate to wide,
     /// population from absorbing-adjacent to leap-regime, random rate and
     /// seeds. The incremental engine must match its full-recompute
-    /// replica bit for bit on every one, under both dispatches.
+    /// replica bit for bit on every one.
     #[test]
     fn adaptive_replicas_agree_on_random_cycles(
         species in 2usize..24,
@@ -246,20 +137,5 @@ proptest! {
         let copies = copies_per_species * species as u64;
         let model = Arc::new(conversion_cycle(species, copies, rate));
         assert_adaptive_replicas_agree(&model, seed, instance, 0.4);
-    }
-
-    /// The same structural sweep for the hybrid and fixed tau-leap
-    /// engines' kernel-routed leap paths.
-    #[test]
-    fn hybrid_and_tau_leap_dispatch_invariant_on_random_cycles(
-        species in 2usize..24,
-        copies_per_species in 0u64..300,
-        rate in 0.2f64..3.0,
-        seed in 0u64..1_000_000,
-    ) {
-        let copies = copies_per_species * species as u64;
-        let model = Arc::new(conversion_cycle(species, copies, rate));
-        assert_hybrid_dispatch_invariant(&model, seed, 1, 0.4);
-        assert_tau_leap_dispatch_invariant(&model, seed, 1, 0.05, 0.4);
     }
 }
